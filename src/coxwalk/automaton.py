@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import _kernel as K
 from . import algebra
 from .algebra import AlgReal
+from .diagram import parse_diagram
 from .element import CapExceededError, MixedSignRootError, _root_vec_sign
 
 DEFAULT_STATE_CAP = 200000
@@ -161,6 +162,7 @@ class ReducedWordAutomaton:
         payload = {
             "format": "coxwalk-automaton",
             "generators": list(self.diagram.names),
+            "diagram": self.diagram.to_text(),
             "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
             "start": self.start,
             "states": states,
@@ -174,15 +176,9 @@ class ReducedWordAutomaton:
         if payload.get("format") != "coxwalk-automaton":
             raise ValueError("not an automaton export")
         if diagram is None:
-            # labels are not part of the export; callers that care pass the
-            # diagram, otherwise a commuting placeholder carries the names
-            from . import diagram as diagram_mod
-
-            names = payload["generators"]
-            n = len(names)
-            diagram = diagram_mod.CoxeterDiagram(
-                names, [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-            )
+            if "diagram" not in payload:
+                raise ValueError("automaton export has no diagram; pass diagram=")
+            diagram = parse_diagram(payload["diagram"])
         field = algebra.field_for_lcm(payload["field"]["L"])
         if list(field.minpoly) != payload["field"]["minpoly"]:
             raise ValueError("minimal polynomial mismatch in automaton export")

@@ -241,7 +241,11 @@ def classify(d):
     positive semidefinite and singular; otherwise compact hyperbolic iff
     every proper subdiagram is a product of finite ones, else other-infinite.
     Diagrams with an infinite label are never finite or affine, except the
-    infinite dihedral diagram itself, which is affine.
+    infinite dihedral diagram itself, which is affine.  Nor is a diagram of
+    rank >= 3 with a label >= 7: by Coxeter's classification (Humphreys,
+    Reflection Groups and Coxeter Groups, 2.7 and 4.7) connected finite and
+    affine diagrams of rank >= 3 have labels <= 6.  Skipping the Gram matrix
+    there avoids fields of huge degree (labels 7, 11, 13 need degree 720).
     """
     if d.rank == 0:
         raise DiagramError("cannot classify the rank-0 diagram")
@@ -250,7 +254,7 @@ def classify(d):
     if d.has_infinite_label():
         if d.rank == 2:
             return DiagramClass.AFFINE
-    else:
+    elif d.rank < 3 or max(map(max, d.labels)) < 7:
         defin = algebra.definiteness(algebra.gram(d))
         if defin == algebra.Definiteness.POS_DEF:
             return DiagramClass.FINITE

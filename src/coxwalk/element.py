@@ -443,6 +443,8 @@ class Ball:
         self.counts = counts
 
     def of_length(self, k):
+        if k < 0:
+            raise ValueError("length must be >= 0")
         start = sum(self.counts[:k])
         if k >= len(self.counts):
             return []

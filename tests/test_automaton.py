@@ -1,6 +1,7 @@
 """Reduced-word automaton: construction, runs, counting, export."""
 
 import itertools
+import json
 
 import pytest
 
@@ -166,10 +167,23 @@ def test_dot_export_rank0():
     assert '"0"' in auto.to_dot()
 
 
-@pytest.mark.parametrize("d", [I2INF, A2, T334])
+@pytest.mark.parametrize("d", [I2INF, A2, T334, UNIVERSAL3])
 def test_json_roundtrip(d):
     auto = automaton.build(d)
-    again = automaton.ReducedWordAutomaton.from_json(auto.to_json(), diagram=d)
+    again = automaton.ReducedWordAutomaton.from_json(auto.to_json())
+    assert again.diagram == d
+    assert again == auto
+
+
+def test_json_without_diagram_key():
+    auto = automaton.build(T334)
+    payload = json.loads(auto.to_json())
+    del payload["diagram"]
+    text = json.dumps(payload)
+    with pytest.raises(ValueError):
+        automaton.ReducedWordAutomaton.from_json(text)
+    again = automaton.ReducedWordAutomaton.from_json(text, diagram=T334)
+    assert again.diagram == T334
     assert again == auto
 
 

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 from coxwalk.cli import main
@@ -38,6 +39,17 @@ def test_classify_components(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", str(f))
     assert code == 0
     assert "Affine" in out  # both components are affine
+
+
+def test_classify_large_labels_skips_gram(capsys, tmp_path):
+    # labels 7, 11, 13 would need a degree-720 field for the Gram matrix
+    f = tmp_path / "path_7_11_13.cox"
+    f.write_text("s t u v\ns-t:7 t-u:11 u-v:13\n")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(f))
+    assert code == 0
+    assert "OtherInfinite" in out
+    assert time.perf_counter() - t0 < 10
 
 
 def test_classify_parse_error(capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from coxwalk import algebra
 from coxwalk import diagram as dm
 from coxwalk.diagram import (
     CoxeterDiagram,
@@ -114,6 +115,23 @@ def test_classify_errors():
         classify(parse_diagram("a b"))
     with pytest.raises(DiagramError):
         classify(CoxeterDiagram((), ()))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("s t u; s-t:7 t-u", DiagramClass.COMPACT_HYPERBOLIC),  # triangle_237
+        ("s t u; s-t:8 t-u:4", DiagramClass.COMPACT_HYPERBOLIC),
+        ("s t u; s-t:7 t-u u-s", DiagramClass.COMPACT_HYPERBOLIC),
+        ("s t u v; s-t:7 t-u u-v", DiagramClass.OTHER_INFINITE),
+    ],
+)
+def test_large_label_shortcut_agrees_with_gram(text, expected):
+    # classify skips the Gram matrix at rank >= 3 with a label >= 7; the
+    # Gram path must still find these neither finite nor affine
+    d = parse_diagram(text)
+    assert algebra.definiteness(algebra.gram(d)) == algebra.Definiteness.OTHER
+    assert classify(d) == expected
 
 
 def test_is_locally_finite():

@@ -239,6 +239,9 @@ def test_ball_lengths_consistent():
         for el in ball.of_length(k):
             assert el.length() == k
             assert len(el.shortlex_nf()) == k
+    assert ball.of_length(5) == []
+    with pytest.raises(ValueError):
+        ball.of_length(-1)
 
 
 def test_min_coset_reps():
