@@ -17,6 +17,8 @@ from fractions import Fraction
 from . import _kernel as K
 
 __all__ = [
+    "CapExceededError",
+    "MAX_FIELD_DEGREE",
     "FieldSpec",
     "AlgReal",
     "GramMatrix",
@@ -28,6 +30,21 @@ __all__ = [
     "definiteness",
     "minpoly_2cos_pi_over",
 ]
+
+
+# Largest field degree phi(2L)/2 that field_for_lcm accepts.  The built-in
+# fixtures need at most 16 (L = 60), and any diagram whose finite labels are
+# all <= 7 at most 96 (L = 420).  Labels 7, 11, 13 (L = 2002) would need 720;
+# `compare` on that path had not finished after 40 s before this cap.
+MAX_FIELD_DEGREE = 128
+
+
+class CapExceededError(RuntimeError):
+    """A configured size or iteration cap was hit."""
+
+    def __init__(self, message, **info):
+        super().__init__(message)
+        self.info = info
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +199,7 @@ class FieldSpec:
     def __init__(self, L):
         mp = minpoly_2cos_pi_over(L)
         d = len(mp) - 1
-        expected = _totient(2 * L) // 2 if L >= 2 else 1
+        expected = _field_degree(L)
         if d != expected:
             raise ArithmeticError(f"minimal polynomial degree {d} != phi(2L)/2 = {expected}")
         approx = 2.0 * math.cos(math.pi / L)
@@ -274,8 +291,23 @@ class FieldSpec:
         return f"FieldSpec(L={self.L}, degree={self.degree})"
 
 
+def _field_degree(L):
+    """Degree of Q(2cos(pi/L)) over Q: phi(2L)/2, and 1 for L = 1."""
+    return _totient(2 * L) // 2 if L >= 2 else 1
+
+
 @functools.lru_cache(maxsize=None)
 def field_for_lcm(L):
+    """The field Q(2cos(pi/L)); its degree is checked against MAX_FIELD_DEGREE
+    before any polynomial is computed."""
+    degree = _field_degree(L)
+    if degree > MAX_FIELD_DEGREE:
+        raise CapExceededError(
+            f"label lcm {L} needs a field of degree {degree}, "
+            f"above the cap of {MAX_FIELD_DEGREE}",
+            cap=MAX_FIELD_DEGREE,
+            degree=degree,
+        )
     return FieldSpec(L)
 
 
@@ -358,7 +390,7 @@ class AlgReal:
         return (-self) + other
 
     def __neg__(self):
-        return AlgReal._new(self.field, tuple(-x for x in self.nums), self.den)
+        return AlgReal._new(self.field, tuple([-x for x in self.nums]), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import _kernel as K
 from . import algebra
 from .algebra import AlgReal
-from .diagram import parse_diagram
+from .diagram import CoxeterDiagram, parse_diagram
 from .element import CapExceededError, MixedSignRootError, _root_vec_sign
 
 DEFAULT_STATE_CAP = 200000
@@ -178,7 +178,12 @@ class ReducedWordAutomaton:
         if diagram is None:
             if "diagram" not in payload:
                 raise ValueError("automaton export has no diagram; pass diagram=")
-            diagram = parse_diagram(payload["diagram"])
+            # the rank-0 diagram's text is a bare newline, which a diagram
+            # file may not be
+            if payload["generators"]:
+                diagram = parse_diagram(payload["diagram"])
+            else:
+                diagram = CoxeterDiagram((), ())
         field = algebra.field_for_lcm(payload["field"]["L"])
         if list(field.minpoly) != payload["field"]["minpoly"]:
             raise ValueError("minimal polynomial mismatch in automaton export")

@@ -223,6 +223,21 @@ def cmd_verify_paper(args):
     return EXIT_OK if payload["failed"] == 0 else EXIT_FACT_FAILURE
 
 
+def _int_at_least(low):
+    """argparse type for integers >= low; argparse names the flag on error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coxwalk",
@@ -238,8 +253,8 @@ def build_parser():
     p = sub.add_parser("automaton", help="build the reduced-word automaton")
     p.add_argument("file")
     p.add_argument("--export", choices=("dot", "json"))
-    p.add_argument("--count", type=int, metavar="K", help="print reduced-word counts for lengths <= K")
-    p.add_argument("--cap", type=int, help="state cap (default from COXWALK_STATE_CAP)")
+    p.add_argument("--count", type=_int_at_least(0), metavar="K", help="print reduced-word counts for lengths <= K")
+    p.add_argument("--cap", type=_int_at_least(1), help="state cap (default from COXWALK_STATE_CAP)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_automaton)
 
@@ -254,21 +269,21 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("word_u")
     p.add_argument("word_w")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_int_at_least(0), default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_goodpair)
 
     p = sub.add_parser("antichain", help="produce an infinite-antichain certificate")
     p.add_argument("file")
     p.add_argument("--method", choices=("auto", "coset", "casevi"), default="auto")
-    p.add_argument("--n", type=int, default=20, help="family size for the coset construction")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--n", type=_int_at_least(1), default=20, help="family size for the coset construction")
+    p.add_argument("--kmax", type=_int_at_least(0), default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_antichain)
 
     p = sub.add_parser("affine-embed", help="check the alcove embedding on a ball")
     p.add_argument("file")
-    p.add_argument("--radius", type=int, default=5)
+    p.add_argument("--radius", type=_int_at_least(0), default=5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_affine_embed)
 

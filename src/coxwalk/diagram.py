@@ -241,7 +241,9 @@ def classify(d):
     positive semidefinite and singular; otherwise compact hyperbolic iff
     every proper subdiagram is a product of finite ones, else other-infinite.
     Diagrams with an infinite label are never finite or affine, except the
-    infinite dihedral diagram itself, which is affine.  Nor is a diagram of
+    infinite dihedral diagram itself, which is affine.  A finite label m on
+    rank 2 gives the dihedral group of order 2m, and rank 1 the group of
+    order 2, so both are finite without a field.  Nor is a diagram of
     rank >= 3 with a label >= 7: by Coxeter's classification (Humphreys,
     Reflection Groups and Coxeter Groups, 2.7 and 4.7) connected finite and
     affine diagrams of rank >= 3 have labels <= 6.  Skipping the Gram matrix
@@ -254,7 +256,9 @@ def classify(d):
     if d.has_infinite_label():
         if d.rank == 2:
             return DiagramClass.AFFINE
-    elif d.rank < 3 or max(map(max, d.labels)) < 7:
+    elif d.rank < 3:
+        return DiagramClass.FINITE
+    elif max(map(max, d.labels)) < 7:
         defin = algebra.definiteness(algebra.gram(d))
         if defin == algebra.Definiteness.POS_DEF:
             return DiagramClass.FINITE

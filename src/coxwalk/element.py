@@ -2,8 +2,10 @@
 
 An element is the pair of matrices (action on simple-root coordinates, and
 the same for the inverse), with exact field entries.  The representation is
-faithful, so matrix equality decides group equality, descent sets fall out
-of root signs, and lengths come from a ShortLex normal-form walk.  Balls,
+faithful, so matrix equality decides group equality and descent sets fall
+out of root signs.  Lengths are tracked along generator products, since
+l(ws) = l(w) + 1 exactly when w(alpha_s) is positive; after a general matrix
+product they come from a ShortLex normal-form walk.  Balls,
 reduced-expression enumeration, braid closures and minimal coset
 representatives are all built on top of that engine, with size caps that
 turn non-termination on infinite groups into clean errors.
@@ -13,7 +15,7 @@ import math
 
 from . import _kernel as K
 from . import algebra
-from .algebra import AlgReal
+from .algebra import AlgReal, CapExceededError
 from . import diagram as diagram_mod
 
 DEFAULT_BALL_CAP = 10**6
@@ -32,14 +34,6 @@ __all__ = [
     "NonReducedWordError",
     "GroupMismatchError",
 ]
-
-
-class CapExceededError(RuntimeError):
-    """A configured size or iteration cap was hit."""
-
-    def __init__(self, message, **info):
-        super().__init__(message)
-        self.info = info
 
 
 class MixedSignRootError(RuntimeError):
@@ -81,8 +75,10 @@ class CoxeterGroup:
         self.field = algebra.field_for(diagram)
         self.gram = algebra.gram(diagram, self.field)
         # sparse generator data: for s, the non-commuting columns j with the
-        # exact coefficient -2*(alpha_s | alpha_j)
+        # exact coefficient -2*(alpha_s | alpha_j); None marks the coefficient
+        # 1 of a label 3, which needs an add and no multiply
         minus_two = self.field.rational(-2)
+        zero, one = self.field.zero, self.field.one
         self._nbr = []
         for s in range(self.n):
             row = []
@@ -91,9 +87,9 @@ class CoxeterGroup:
                     continue
                 g = self.gram.entry(s, j)
                 if not g.is_zero():
-                    row.append((j, minus_two * g))
+                    coeff = minus_two * g
+                    row.append((j, None if coeff == one else coeff))
             self._nbr.append(tuple(row))
-        zero, one = self.field.zero, self.field.one
         self._id_cols = tuple(
             tuple(one if i == j else zero for i in range(self.n)) for j in range(self.n)
         )
@@ -106,14 +102,21 @@ class CoxeterGroup:
     def _rmul_gen(self, cols, s):
         """Columns of w -> columns of w*s."""
         cs = cols[s]
+        nz = [i for i in range(self.n) if not cs[i].is_zero()]
         new = list(cols)
         for j, coeff in self._nbr[s]:
-            colj = cols[j]
-            new[j] = tuple(
-                colj[i] if cs[i].is_zero() else colj[i] + coeff * cs[i]
-                for i in range(self.n)
-            )
-        new[s] = tuple(-x for x in cs)
+            colj = list(cols[j])
+            if coeff is None:
+                for i in nz:
+                    colj[i] = colj[i] + cs[i]
+            else:
+                for i in nz:
+                    colj[i] = colj[i] + coeff * cs[i]
+            new[j] = tuple(colj)
+        neg = list(cs)
+        for i in nz:
+            neg[i] = -cs[i]
+        new[s] = tuple(neg)
         return tuple(new)
 
     def _lmul_gen(self, cols, s):
@@ -121,10 +124,21 @@ class CoxeterGroup:
         nbr = self._nbr[s]
         new = []
         for col in cols:
-            acc = -col[s]
+            acc = None
             for k, coeff in nbr:
-                if not col[k].is_zero():
-                    acc = acc + coeff * col[k]
+                x = col[k]
+                if x.is_zero():
+                    continue
+                if coeff is not None:
+                    x = coeff * x
+                acc = x if acc is None else acc + x
+            x = col[s]
+            if x.is_zero():
+                if acc is None:
+                    new.append(col)
+                    continue
+            else:
+                acc = -x if acc is None else acc - x
             c2 = list(col)
             c2[s] = acc
             new.append(tuple(c2))
@@ -161,12 +175,16 @@ class CoxeterGroup:
         """Product of generators in word order (leftmost applied first)."""
         cols = self._id_cols
         icols = self._id_cols
+        length = 0
         for s in word:
             if not 0 <= s < self.n:
                 raise IndexError(f"generator index {s} out of range")
+            length += _root_vec_sign(cols[s])
             cols = self._rmul_gen(cols, s)
             icols = self._lmul_gen(icols, s)
-        return GroupElement(self, cols, icols)
+        el = GroupElement(self, cols, icols)
+        el._len = length
+        return el
 
     def ball(self, radius, cap=DEFAULT_BALL_CAP):
         """All elements of length <= radius, with counts per length (BFS)."""
@@ -201,7 +219,11 @@ class CoxeterGroup:
         return Ball(self, radius, elements, counts)
 
     def weak_leq(self, v, w):
-        """Right weak order: v <= w iff the lengths add along v * (v^-1 w)."""
+        """Right weak order: v <= w iff the lengths add along v * (v^-1 w).
+
+        Since l(v^-1 w) >= l(w) - l(v), the walk on v^-1 w stops as soon as
+        it would take step l(w) - l(v) + 1, and the answer is then False.
+        """
         if v.group is not self or w.group is not self:
             raise GroupMismatchError("elements belong to a different group")
         lv = v.length()
@@ -210,7 +232,7 @@ class CoxeterGroup:
             return False
         if lv == lw:
             return v == w
-        return lv + (v.inverse() * w).length() == lw
+        return (v.inverse() * w)._walk(lw - lv) is not None
 
     def reduced_expressions(self, w, cap=DEFAULT_WORDS_CAP):
         """All reduced expressions of w, by recursion over right descents."""
@@ -313,7 +335,6 @@ class CoxeterGroup:
                 continue
             word = tuple(J[t] for t in el.shortlex_nf())
             lifted = self.element_of(word)
-            lifted._len = el.length()
             lifted._nf = word
             out.append(lifted)
         out.sort(key=lambda e: (e.length(), e.shortlex_nf()))
@@ -351,12 +372,20 @@ class GroupElement:
         return self.cols == self.group._id_cols
 
     def right_mul_gen(self, s):
+        """w*s; its length is l(w) + 1 if w(alpha_s) is positive, else l(w) - 1."""
         g = self.group
-        return GroupElement(g, g._rmul_gen(self.cols, s), g._lmul_gen(self.icols, s))
+        el = GroupElement(g, g._rmul_gen(self.cols, s), g._lmul_gen(self.icols, s))
+        if self._len is not None:
+            el._len = self._len + _root_vec_sign(self.cols[s])
+        return el
 
     def left_mul_gen(self, s):
+        """s*w; its length is l(w) + 1 if w^-1(alpha_s) is positive, else l(w) - 1."""
         g = self.group
-        return GroupElement(g, g._lmul_gen(self.cols, s), g._rmul_gen(self.icols, s))
+        el = GroupElement(g, g._lmul_gen(self.cols, s), g._rmul_gen(self.icols, s))
+        if self._len is not None:
+            el._len = self._len + _root_vec_sign(self.icols[s])
+        return el
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -386,37 +415,44 @@ class GroupElement:
             s for s in range(self.group.n) if _root_vec_sign(self.icols[s]) < 0
         )
 
-    def shortlex_nf(self, cap=DEFAULT_NF_CAP):
-        """Lexicographically smallest reduced word, built by stripping the
-        smallest left descent."""
-        if self._nf is None:
-            g = self.group
-            cols, icols = self.cols, self.icols
-            word = []
-            while True:
-                if len(word) > cap:
-                    raise CapExceededError(
-                        f"normal-form walk exceeded {cap} steps", cap=cap
-                    )
-                s = None
-                for t in range(g.n):
-                    if _root_vec_sign(icols[t]) < 0:
-                        s = t
-                        break
-                if s is None:
-                    if cols != g._id_cols:
-                        raise MixedSignRootError(
-                            "element with no left descent is not the identity"
-                        )
+    def _walk(self, limit):
+        """The ShortLex word, built by stripping the smallest left descent,
+        or None if the element is longer than `limit`."""
+        g = self.group
+        cols, icols = self.cols, self.icols
+        word = []
+        while True:
+            s = None
+            for t in range(g.n):
+                if _root_vec_sign(icols[t]) < 0:
+                    s = t
                     break
-                word.append(s)
-                cols = g._lmul_gen(cols, s)
-                icols = g._rmul_gen(icols, s)
-            self._nf = tuple(word)
+            if s is None:
+                if cols != g._id_cols:
+                    raise MixedSignRootError(
+                        "element with no left descent is not the identity"
+                    )
+                return tuple(word)
+            if len(word) == limit:
+                return None
+            word.append(s)
+            cols = g._lmul_gen(cols, s)
+            icols = g._rmul_gen(icols, s)
+
+    def shortlex_nf(self, cap=DEFAULT_NF_CAP):
+        """Lexicographically smallest reduced word."""
+        if self._nf is None:
+            word = self._walk(cap)
+            if word is None:
+                raise CapExceededError(f"normal-form walk exceeded {cap} steps", cap=cap)
+            if self._len is not None and self._len != len(word):
+                raise MixedSignRootError("tracked length disagrees with the normal form")
+            self._nf = word
             self._len = len(word)
         return self._nf
 
     def length(self):
+        """Known from construction, except after a matrix product; then walked."""
         if self._len is None:
             self.shortlex_nf()
         return self._len

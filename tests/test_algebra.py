@@ -9,6 +9,7 @@ import pytest
 from coxwalk import algebra
 from coxwalk.algebra import Definiteness, field_for_lcm, minpoly_2cos_pi_over
 from coxwalk.diagram import parse_diagram
+from coxwalk.element import CapExceededError
 
 
 KNOWN_MINPOLYS = {
@@ -207,3 +208,12 @@ def test_mixed_field_operations_rejected():
     f6 = field_for_lcm(6)
     with pytest.raises(ValueError):
         f5.one + f6.one
+
+
+def test_field_degree_cap():
+    assert algebra.CapExceededError is CapExceededError
+    assert field_for_lcm(60).degree == 16 <= algebra.MAX_FIELD_DEGREE
+    # labels 7, 11 and 13 give L = 2002 and degree phi(4004)/2 = 720
+    with pytest.raises(CapExceededError) as exc:
+        field_for_lcm(2002)
+    assert exc.value.info == {"cap": algebra.MAX_FIELD_DEGREE, "degree": 720}

@@ -175,6 +175,14 @@ def test_json_roundtrip(d):
     assert again == auto
 
 
+def test_json_roundtrip_rank0():
+    d = CoxeterDiagram((), ())
+    auto = automaton.build(d)
+    again = automaton.ReducedWordAutomaton.from_json(auto.to_json())
+    assert again.diagram == d
+    assert again == auto
+
+
 def test_json_without_diagram_key():
     auto = automaton.build(T334)
     payload = json.loads(auto.to_json())

@@ -5,6 +5,8 @@ import shutil
 import time
 from pathlib import Path
 
+import pytest
+
 from coxwalk.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "coxwalk" / "fixtures"
@@ -58,6 +60,41 @@ def test_classify_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(f))
     assert code == 2
     assert "error" in err
+
+
+def test_empty_file(capsys, tmp_path):
+    f = tmp_path / "empty.cox"
+    f.write_text("")
+    code, _, err = run(capsys, "classify", str(f))
+    assert code == 2
+    assert "empty diagram" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("automaton", "a2", "--count", "-1"),
+        ("antichain", "universal_rank3", "--n", "0"),
+        ("antichain", "universal_rank3", "--n", "-3"),
+    ],
+)
+def test_bad_integer_flag(capsys, argv):
+    command, name, flag, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture(name), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
+def test_compare_field_degree_cap(capsys, tmp_path):
+    # labels 7, 11, 13 need a field of degree 720
+    f = tmp_path / "path_7_11_13.cox"
+    f.write_text("s t u v\ns-t:7 t-u:11 u-v:13\n")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "compare", str(f), "s t", "t u")
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert "degree" in err
 
 
 def test_missing_file(capsys):

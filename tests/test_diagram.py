@@ -110,6 +110,11 @@ def test_classify_examples():
     )
 
 
+def test_classify_large_dihedral_needs_no_field():
+    # the Gram matrix of I2(1000) would live in a field of degree 400
+    assert classify(parse_diagram("s t; s-t:1000")) == DiagramClass.FINITE
+
+
 def test_classify_errors():
     with pytest.raises(ReducibleDiagramError):
         classify(parse_diagram("a b"))

@@ -1,0 +1,99 @@
+"""Property tests over generated diagrams and words: the tracked length, the
+bounded weak-order walk and the automaton are checked against independent
+computations of the same quantities."""
+
+import itertools
+from datetime import timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxwalk import automaton
+from coxwalk.diagram import INF, CoxeterDiagram
+from coxwalk.element import GroupElement, group_for
+
+LABELS = (2, 3, 4, 5, 6, INF)
+MAX_WORD = 10
+
+SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    deadline=timedelta(seconds=5),
+    max_examples=120,
+)
+
+_AUTOMATA = {}
+
+
+def automaton_for(d):
+    auto = _AUTOMATA.get(d)
+    if auto is None:
+        auto = _AUTOMATA[d] = automaton.build(d)
+    return auto
+
+
+@st.composite
+def diagrams(draw):
+    """Rank 2-4, every pair labelled from LABELS (so possibly reducible)."""
+    n = draw(st.integers(2, 4))
+    labels = [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        labels[i][j] = labels[j][i] = draw(st.sampled_from(LABELS))
+    return CoxeterDiagram("abcd"[:n], labels)
+
+
+def words(d):
+    return st.lists(st.integers(0, d.rank - 1), max_size=MAX_WORD).map(tuple)
+
+
+@st.composite
+def diagram_and_word(draw):
+    d = draw(diagrams())
+    return d, draw(words(d))
+
+
+@st.composite
+def diagram_and_pair(draw):
+    """Two words; about half the time the second extends the first, so that
+    comparable pairs are drawn as often as incomparable ones."""
+    d = draw(diagrams())
+    first, second = draw(words(d)), draw(words(d))
+    if draw(st.booleans()):
+        second = first + second
+    return d, first, second
+
+
+@SETTINGS
+@given(diagram_and_word())
+def test_tracked_length_matches_normal_form(case):
+    d, word = case
+    g = group_for(d)
+    el = g.element_of(word)
+    fresh = GroupElement(g, el.cols, el.icols)
+    assert el.length() == len(fresh.shortlex_nf())
+    right = left = g.identity
+    for s in word:
+        right = right.right_mul_gen(s)
+    for s in reversed(word):
+        left = left.left_mul_gen(s)
+    assert right == left == el
+    assert right.length() == left.length() == el.length()
+
+
+@SETTINGS
+@given(diagram_and_pair())
+def test_bounded_weak_leq_matches_length_formula(case):
+    d, first, second = case
+    g = group_for(d)
+    v, w = g.element_of(first), g.element_of(second)
+    # the product carries no tracked length, so this walks to the end
+    expected = v.length() + (v.inverse() * w).length() == w.length()
+    assert g.weak_leq(v, w) == expected
+
+
+@SETTINGS
+@given(diagram_and_word())
+def test_automaton_accepts_exactly_reduced_words(case):
+    d, word = case
+    reduced = group_for(d).element_of(word).length() == len(word)
+    assert automaton_for(d).accepts(word) == reduced
