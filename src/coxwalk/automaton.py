@@ -7,15 +7,21 @@ All root coordinates and form values are exact, so state identity is
 structural.  Paths from the start state spell exactly the reduced words;
 this is validated against the group engine rather than assumed.
 
-Root vectors are interned and renumbered canonically (lexicographic on the
-exact coefficient sequences) once the build closes, so state contents,
-exports and state indices are deterministic.
+The build has two phases.  Phase 1 closes the simple roots under the
+admissible step; the closure is the finite set of elementary roots of
+Brink and Howlett (Math. Ann. 296, 1993), sorted once into a canonical
+order (lexicographic on the exact coefficient sequences) and tabulated as
+step[s][root].  Phase 2 runs the state BFS with each state a Python int
+whose bit i marks root i, so state contents, exports and state indices are
+deterministic.
 """
 
 import json
 import os
-from collections import deque
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import getitem, or_
 
 from . import _kernel as K
 from . import algebra
@@ -24,6 +30,7 @@ from .diagram import CoxeterDiagram, parse_diagram
 from .element import CapExceededError, MixedSignRootError, _root_vec_sign
 
 DEFAULT_STATE_CAP = 200000
+EXPORT_VERSION = 2
 
 __all__ = [
     "ReducedWordAutomaton",
@@ -55,21 +62,36 @@ def _root_sort_key(vec):
     return tuple(e.to_fractions() for e in vec)
 
 
-def _canonical_remap(vectors, states, simple_ids):
-    """Renumber roots by coefficient order; sort state tuples accordingly."""
-    order = sorted(range(len(vectors)), key=lambda r: _root_sort_key(vectors[r]))
-    rank = [0] * len(vectors)
-    for pos, rid in enumerate(order):
-        rank[rid] = pos
-    vectors2 = tuple(vectors[rid] for rid in order)
-    states2 = tuple(tuple(sorted(rank[r] for r in st)) for st in states)
-    simple2 = tuple(rank[r] for r in simple_ids)
-    return vectors2, states2, simple2
+def _simple_roots(field, n):
+    zero, one = field.zero, field.one
+    return [tuple(one if i == s else zero for i in range(n)) for s in range(n)]
+
+
+def _mask(ids):
+    """The state (bit i marks root i) holding the given root ids."""
+    mask = 0
+    for rid in ids:
+        mask |= 1 << rid
+    return mask
+
+
+def _id_tables(nroots):
+    """For each byte of a state, the ascending root ids that each of the 256
+    byte values marks."""
+    return [
+        [tuple(k + i for i in range(8) if b >> i & 1 and k + i < nroots) for b in range(256)]
+        for k in range(0, nroots, 8)
+    ]
 
 
 class ReducedWordAutomaton:
     """Deterministic automaton; every state is accepting, missing
-    transitions reject."""
+    transitions reject.
+
+    `root_vectors` is the canonically ordered root table and each entry of
+    `states` is an int whose bit i marks root i of that table.  The table
+    may hold elementary roots that no state uses.
+    """
 
     def __init__(self, diagram, field, root_vectors, states, transitions, simple_root_ids):
         self.diagram = diagram
@@ -80,6 +102,7 @@ class ReducedWordAutomaton:
         self.simple_root_ids = simple_root_ids
         self.start = 0
         self._canon = None
+        self._ids = None
 
     @property
     def num_states(self):
@@ -102,12 +125,19 @@ class ReducedWordAutomaton:
     def accepts(self, word):
         return self.run(word) is not None
 
+    def _root_ids(self, state):
+        """Ascending root ids of a state bitmask."""
+        if self._ids is None:
+            self._ids = _id_tables(len(self.root_vectors))
+        data = state.to_bytes(len(self._ids), "little")
+        return tuple(chain.from_iterable(map(getitem, self._ids, data)))
+
     def state_roots(self, sid):
         """Roots of a state as coordinate vectors, canonically sorted."""
-        return tuple(self.root_vectors[rid] for rid in self.states[sid])
+        return tuple(self.root_vectors[rid] for rid in self._root_ids(self.states[sid]))
 
     def state_contains_simple(self, sid, s):
-        return self.simple_root_ids[s] in self.states[sid]
+        return bool(self.states[sid] >> self.simple_root_ids[s] & 1)
 
     def count_reduced_words(self, k):
         """Number of accepted words of length exactly k (words, not elements)."""
@@ -128,14 +158,16 @@ class ReducedWordAutomaton:
 
     def canonical_form(self):
         if self._canon is None:
-            states = tuple(
-                tuple(
-                    tuple(e.to_fractions() for e in vec) for vec in self.state_roots(sid)
-                )
-                for sid in range(self.num_states)
-            )
+            roots = tuple(_root_sort_key(vec) for vec in self.root_vectors)
             trans = tuple(tuple(sorted(t.items())) for t in self.transitions)
-            self._canon = (self.diagram.names, self.field.L, states, self.start, trans)
+            self._canon = (
+                self.diagram.names,
+                self.field.L,
+                roots,
+                tuple(self.states),
+                self.start,
+                trans,
+            )
         return self._canon
 
     def __eq__(self, other):
@@ -147,86 +179,108 @@ class ReducedWordAutomaton:
         return hash(self.canonical_form())
 
     def to_json(self):
-        states = []
-        for sid in range(self.num_states):
-            roots = [
-                [[str(f) for f in e.to_fractions()] for e in vec]
-                for vec in self.state_roots(sid)
-            ]
-            states.append({"id": sid, "roots": roots})
-        transitions = [
-            {"from": sid, "label": self.diagram.names[s], "to": to}
-            for sid in range(self.num_states)
-            for s, to in sorted(self.transitions[sid].items())
-        ]
+        """Export schema version 2 as compact JSON: the root table once,
+        each state as its ascending root ids, transitions per state."""
+        names = self.diagram.names
         payload = {
             "format": "coxwalk-automaton",
-            "generators": list(self.diagram.names),
+            "version": EXPORT_VERSION,
+            "generators": list(names),
             "diagram": self.diagram.to_text(),
             "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
             "start": self.start,
-            "states": states,
-            "transitions": transitions,
+            "roots": [
+                [[str(f) for f in e.to_fractions()] for e in vec] for vec in self.root_vectors
+            ],
+            "states": [self._root_ids(state) for state in self.states],
+            "transitions": [
+                {names[s]: to for s, to in sorted(t.items())} for t in self.transitions
+            ],
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text, diagram=None):
+        """Read an export of schema version 2; anything else raises ValueError."""
         payload = json.loads(text)
-        if payload.get("format") != "coxwalk-automaton":
+        if not isinstance(payload, dict) or payload.get("format") != "coxwalk-automaton":
             raise ValueError("not an automaton export")
+        version = payload.get("version")
+        if version != EXPORT_VERSION:
+            raise ValueError(
+                f"automaton export version {version!r} is not {EXPORT_VERSION}"
+            )
+        try:
+            return cls._from_payload(payload, diagram)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed automaton export: {exc!r}") from exc
+
+    @classmethod
+    def _from_payload(cls, payload, diagram):
+        names = payload["generators"]
         if diagram is None:
             if "diagram" not in payload:
                 raise ValueError("automaton export has no diagram; pass diagram=")
             # the rank-0 diagram's text is a bare newline, which a diagram
             # file may not be
-            if payload["generators"]:
-                diagram = parse_diagram(payload["diagram"])
-            else:
-                diagram = CoxeterDiagram((), ())
+            diagram = parse_diagram(payload["diagram"]) if names else CoxeterDiagram((), ())
+        if list(diagram.names) != names:
+            raise ValueError("export generators do not match the diagram")
         field = algebra.field_for_lcm(payload["field"]["L"])
         if list(field.minpoly) != payload["field"]["minpoly"]:
             raise ValueError("minimal polynomial mismatch in automaton export")
-        name_to_idx = {n: i for i, n in enumerate(payload["generators"])}
-        n = len(payload["generators"])
-        vectors = []
-        ids = {}
+        n = len(names)
 
-        def intern(vec):
-            key = _root_key(vec)
-            rid = ids.get(key)
-            if rid is None:
-                rid = len(vectors)
-                vectors.append(vec)
-                ids[key] = rid
-            return rid
+        vectors = tuple(
+            tuple(field.element([Fraction(c) for c in coord]) for coord in root)
+            for root in payload["roots"]
+        )
+        if any(len(vec) != n for vec in vectors):
+            raise ValueError(f"root table holds a vector whose length is not {n}")
+        keys = [_root_sort_key(vec) for vec in vectors]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("root table is not strictly increasing in canonical order")
+        index = {key: rid for rid, key in enumerate(keys)}
+        simple_ids = tuple(index.get(_root_sort_key(vec)) for vec in _simple_roots(field, n))
+        if None in simple_ids:
+            raise ValueError("root table lacks a simple root")
 
+        nroots = len(vectors)
         states = []
-        for st in payload["states"]:
-            rids = set()
-            for root in st["roots"]:
-                vec = tuple(field.element([Fraction(c) for c in coord]) for coord in root)
-                rids.add(intern(vec))
-            states.append(tuple(sorted(rids)))
-        transitions = [dict() for _ in states]
-        for tr in payload["transitions"]:
-            transitions[tr["from"]][name_to_idx[tr["label"]]] = tr["to"]
-        zero, one = field.zero, field.one
-        simple_ids = []
-        for s in range(n):
-            vec = tuple(one if i == s else zero for i in range(n))
-            simple_ids.append(intern(vec))
-        vectors, states, simple_ids = _canonical_remap(vectors, states, simple_ids)
+        for ids in payload["states"]:
+            if ids and (min(ids) < 0 or max(ids) >= nroots):
+                raise ValueError(f"state holds a root id outside 0..{nroots - 1}")
+            mask = _mask(ids)
+            if mask.bit_count() != len(ids):
+                raise ValueError("state repeats a root id")
+            states.append(mask)
+
+        name_to_idx = {name: s for s, name in enumerate(names)}
+        transitions = []
+        for row in payload["transitions"]:
+            trans = {}
+            for label, to in row.items():
+                s = name_to_idx.get(label)
+                if s is None:
+                    raise ValueError(f"unknown generator label {label!r} in transitions")
+                if not 0 <= to < len(states):
+                    raise ValueError(f"transition target {to!r} is not a state")
+                trans[s] = to
+            transitions.append(trans)
+        if len(transitions) != len(states):
+            raise ValueError("export needs one transition row per state")
+        start = payload["start"]
+        if not 0 <= start < len(states):
+            raise ValueError(f"start {start!r} is not a state")
         auto = cls(diagram, field, vectors, states, transitions, simple_ids)
-        auto.start = payload["start"]
+        auto.start = start
         return auto
 
     def to_dot(self):
         lines = ["digraph reduced_words {", "  rankdir=LR;", "  __start [shape=point];"]
         lines.append(f'  __start -> "{self.start}";')
-        for sid in range(self.num_states):
-            size = len(self.states[sid])
-            lines.append(f'  "{sid}" [label="{sid} [{size}]"];')
+        for sid, state in enumerate(self.states):
+            lines.append(f'  "{sid}" [label="{sid} [{state.bit_count()}]"];')
         for sid in range(self.num_states):
             for s, to in sorted(self.transitions[sid].items()):
                 name = self.diagram.names[s]
@@ -245,6 +299,55 @@ class ReducedWordAutomaton:
         return f"ReducedWordAutomaton(states={self.num_states}, edges={self.num_edges})"
 
 
+def _root_table(diagram, field):
+    """Phase 1: close the simple roots under the admissible step.
+
+    Returns the root vectors in canonical order, the ids of the simple
+    roots, and step[s][rid]: the id of sigma_s(beta) when
+    -1 < (beta|alpha_s) < 1, else -1.
+    """
+    gram = algebra.gram(diagram, field)
+    n = diagram.rank
+    mp = field._mp_low
+    one = field.one
+    gram_cols_nums = [[gram.entry(i, s).nums for i in range(n)] for s in range(n)]
+    gram_cols_dens = [[gram.entry(i, s).den for i in range(n)] for s in range(n)]
+
+    vectors = _simple_roots(field, n)
+    ids = {_root_key(vec): rid for rid, vec in enumerate(vectors)}
+    raw_step = [[] for _ in range(n)]
+    # vectors grows while it is walked: a breadth-first closure
+    for beta in vectors:
+        beta_nums = [e.nums for e in beta]
+        beta_dens = [e.den for e in beta]
+        for s in range(n):
+            nums, den = K.dot_mod(beta_nums, beta_dens, gram_cols_nums[s], gram_cols_dens[s], mp)
+            x = AlgReal._new(field, nums, den)
+            if (one - x).sign() <= 0 or (one + x).sign() <= 0:
+                raw_step[s].append(-1)
+                continue
+            img = list(beta)
+            img[s] = beta[s] - (x + x)
+            img = tuple(img)
+            if _root_vec_sign(img) != 1:
+                raise MixedSignRootError("reflected root is not positive")
+            key = _root_key(img)
+            rid = ids.get(key)
+            if rid is None:
+                rid = ids[key] = len(vectors)
+                vectors.append(img)
+            raw_step[s].append(rid)
+
+    order = sorted(range(len(vectors)), key=lambda r: _root_sort_key(vectors[r]))
+    new_id = [0] * len(vectors)
+    for pos, rid in enumerate(order):
+        new_id[rid] = pos
+    step = tuple(
+        tuple(new_id[raw[rid]] if raw[rid] >= 0 else -1 for rid in order) for raw in raw_step
+    )
+    return tuple(vectors[rid] for rid in order), tuple(new_id[:n]), step
+
+
 def build(diagram, cap=None):
     """BFS the state recursion from the empty state.
 
@@ -257,91 +360,42 @@ def build(diagram, cap=None):
     if cap < 1:
         raise ValueError("state cap must be >= 1")
     field = algebra.field_for(diagram)
-    gram = algebra.gram(diagram, field)
+    vectors, simple_ids, step = _root_table(diagram, field)
     n = diagram.rank
-    mp = field._mp_low
-    zero, one = field.zero, field.one
 
-    vectors = []
-    ids = {}
+    # Phase 2.  tables[s][k][b] is the state of the images under s of the
+    # roots that byte value b marks in byte k of a state
+    id_tables = _id_tables(len(vectors))
+    nbytes = len(id_tables)
+    tables = [
+        [[_mask(st[rid] for rid in ids if st[rid] >= 0) for ids in by_byte] for by_byte in id_tables]
+        for st in step
+    ]
+    simple_bits = [1 << rid for rid in simple_ids]
 
-    def intern(vec):
-        key = _root_key(vec)
-        rid = ids.get(key)
-        if rid is None:
-            rid = len(vectors)
-            vectors.append(vec)
-            ids[key] = rid
-        return rid
-
-    simple_ids = []
-    for s in range(n):
-        vec = tuple(one if i == s else zero for i in range(n))
-        simple_ids.append(intern(vec))
-
-    gram_cols_nums = [[gram.entry(i, s).nums for i in range(n)] for s in range(n)]
-    gram_cols_dens = [[gram.entry(i, s).den for i in range(n)] for s in range(n)]
-
-    step_cache = {}
-
-    def step(rid, s):
-        """Image root id of sigma_s(beta) when -1 < (beta|alpha_s) < 1, else None."""
-        key = (rid, s)
-        hit = step_cache.get(key, False)
-        if hit is not False:
-            return hit
-        beta = vectors[rid]
-        nums, den = K.dot_mod(
-            [e.nums for e in beta],
-            [e.den for e in beta],
-            gram_cols_nums[s],
-            gram_cols_dens[s],
-            mp,
-        )
-        x = AlgReal._new(field, nums, den)
-        if (one - x).sign() <= 0 or (one + x).sign() <= 0:
-            step_cache[key] = None
-            return None
-        img = list(beta)
-        img[s] = beta[s] - (x + x)
-        img = tuple(img)
-        if _root_vec_sign(img) != 1:
-            raise MixedSignRootError("reflected state root is not positive")
-        out = intern(img)
-        step_cache[key] = out
-        return out
-
-    start = ()
-    states = {start: 0}
-    state_list = [start]
-    transitions = [dict()]
-    queue = deque([0])
-    while queue:
-        sid = queue.popleft()
-        state = state_list[sid]
-        in_state = set(state)
+    states = {0: 0}
+    state_list = [0]
+    transitions = [{}]
+    # state_list grows while it is walked: it is the BFS queue
+    for sid, state in enumerate(state_list):
+        data = state.to_bytes(nbytes, "little")
+        trans = transitions[sid]
         for s in range(n):
-            if simple_ids[s] in in_state:
+            bit = simple_bits[s]
+            if state & bit:
                 continue
-            new = {simple_ids[s]}
-            for rid in state:
-                img = step(rid, s)
-                if img is not None:
-                    new.add(img)
-            fz = tuple(sorted(new))
-            to = states.get(fz)
+            img = reduce(or_, map(getitem, tables[s], data), bit)
+            to = states.get(img)
             if to is None:
                 if len(state_list) >= cap:
+                    frontier = len(state_list) - sid - 1
                     raise StateCapExceededError(
-                        f"automaton exceeded state cap {cap} (frontier size {len(queue)})",
+                        f"automaton exceeded state cap {cap} (frontier size {frontier})",
                         cap=cap,
-                        frontier=len(queue),
+                        frontier=frontier,
                     )
-                to = len(state_list)
-                states[fz] = to
-                state_list.append(fz)
-                transitions.append(dict())
-                queue.append(to)
-            transitions[sid][s] = to
-    vectors, state_list, simple_ids = _canonical_remap(vectors, state_list, simple_ids)
+                to = states[img] = len(state_list)
+                state_list.append(img)
+                transitions.append({})
+            trans[s] = to
     return ReducedWordAutomaton(diagram, field, vectors, state_list, transitions, simple_ids)

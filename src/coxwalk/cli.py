@@ -252,8 +252,10 @@ def build_parser():
 
     p = sub.add_parser("automaton", help="build the reduced-word automaton")
     p.add_argument("file")
-    p.add_argument("--export", choices=("dot", "json"))
-    p.add_argument("--count", type=_int_at_least(0), metavar="K", help="print reduced-word counts for lengths <= K")
+    # stdout carries either the export or the counts, never both
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--export", choices=("dot", "json"))
+    out.add_argument("--count", type=_int_at_least(0), metavar="K", help="print reduced-word counts for lengths <= K")
     p.add_argument("--cap", type=_int_at_least(1), help="state cap (default from COXWALK_STATE_CAP)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_automaton)

@@ -162,6 +162,27 @@ class CoxeterGroup:
             out.append(tuple(col))
         return tuple(out)
 
+    def _walk(self, icols, limit):
+        """The ShortLex word of the element whose inverse has columns
+        `icols`, built by stripping the smallest left descent, or None if
+        the element is longer than `limit`.  Only the inverse is needed:
+        s is a left descent of w exactly when w^-1(alpha_s) is negative."""
+        word = []
+        while True:
+            for s in range(self.n):
+                if _root_vec_sign(icols[s]) < 0:
+                    break
+            else:
+                if icols != self._id_cols:
+                    raise MixedSignRootError(
+                        "element with no left descent is not the identity"
+                    )
+                return tuple(word)
+            if len(word) == limit:
+                return None
+            word.append(s)
+            icols = self._rmul_gen(icols, s)
+
     # -- public surface -------------------------------------------------------
 
     @property
@@ -232,7 +253,8 @@ class CoxeterGroup:
             return False
         if lv == lw:
             return v == w
-        return (v.inverse() * w)._walk(lw - lv) is not None
+        # the inverse of v^-1 w is w^-1 v
+        return self._walk(self._mat_mul(w.icols, v.cols), lw - lv) is not None
 
     def reduced_expressions(self, w, cap=DEFAULT_WORDS_CAP):
         """All reduced expressions of w, by recursion over right descents."""
@@ -415,34 +437,10 @@ class GroupElement:
             s for s in range(self.group.n) if _root_vec_sign(self.icols[s]) < 0
         )
 
-    def _walk(self, limit):
-        """The ShortLex word, built by stripping the smallest left descent,
-        or None if the element is longer than `limit`."""
-        g = self.group
-        cols, icols = self.cols, self.icols
-        word = []
-        while True:
-            s = None
-            for t in range(g.n):
-                if _root_vec_sign(icols[t]) < 0:
-                    s = t
-                    break
-            if s is None:
-                if cols != g._id_cols:
-                    raise MixedSignRootError(
-                        "element with no left descent is not the identity"
-                    )
-                return tuple(word)
-            if len(word) == limit:
-                return None
-            word.append(s)
-            cols = g._lmul_gen(cols, s)
-            icols = g._rmul_gen(icols, s)
-
     def shortlex_nf(self, cap=DEFAULT_NF_CAP):
         """Lexicographically smallest reduced word."""
         if self._nf is None:
-            word = self._walk(cap)
+            word = self.group._walk(self.icols, cap)
             if word is None:
                 raise CapExceededError(f"normal-form walk exceeded {cap} steps", cap=cap)
             if self._len is not None and self._len != len(word):

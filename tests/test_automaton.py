@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -201,6 +202,53 @@ def test_json_roundtrip_case_v(vctx):
         auto.to_json(), diagram=auto.diagram
     )
     assert again == auto
+
+
+def test_json_roundtrip_case_vi(case_vi_automaton):
+    """The rank-5 automaton (101412 states) exports and reads back equal."""
+    auto = case_vi_automaton
+    t0 = time.perf_counter()
+    again = automaton.ReducedWordAutomaton.from_json(auto.to_json())
+    assert again == auto
+    assert time.perf_counter() - t0 < 60
+
+
+def test_json_schema_v2():
+    auto = automaton.build(A2)
+    payload = json.loads(auto.to_json())
+    assert payload["version"] == 2
+    # the root table once, states as ascending root ids, per-state transitions
+    assert len(payload["roots"]) == len(auto.root_vectors) == 3
+    assert payload["states"][0] == []
+    assert all(ids == sorted(set(ids)) for ids in payload["states"])
+    assert payload["transitions"][0] == {"a": 1, "b": 2}
+
+
+def _corrupt(d, change):
+    payload = json.loads(automaton.build(d).to_json())
+    change(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda p: p.pop("version"), "version None", id="missing-version"),
+        pytest.param(lambda p: p.update(version=1), "version 1", id="version-1"),
+        pytest.param(
+            lambda p: p["states"][3].append(len(p["roots"])), "root id outside", id="root-id-too-large"
+        ),
+        pytest.param(lambda p: p["states"][3].insert(0, -1), "root id outside", id="root-id-negative"),
+        pytest.param(lambda p: p["roots"].reverse(), "canonical order", id="roots-out-of-order"),
+        pytest.param(
+            lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", id="roots-repeated"
+        ),
+        pytest.param(lambda p: p["transitions"][0].update(z=1), "unknown generator", id="unknown-label"),
+    ],
+)
+def test_from_json_rejects(change, message):
+    with pytest.raises(ValueError, match=message):
+        automaton.ReducedWordAutomaton.from_json(_corrupt(T334, change))
 
 
 def test_export_unknown_format():

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from coxwalk.automaton import ReducedWordAutomaton, build
 from coxwalk.cli import main
+from coxwalk.diagram import parse_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "coxwalk" / "fixtures"
 
@@ -120,6 +122,17 @@ def test_automaton_export_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["states"]) == 3
+    again = ReducedWordAutomaton.from_json(out)
+    assert again == build(parse_diagram(Path(fixture("i2inf")).read_text()))
+
+
+def test_automaton_count_with_export_rejected(capsys):
+    # the export fills stdout, so the counts would be computed and dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["automaton", fixture("a2"), "--count", "3", "--export", "json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--count" in err and "--export" in err
 
 
 def test_automaton_cap(capsys):

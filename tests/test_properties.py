@@ -1,6 +1,7 @@
 """Property tests over generated diagrams and words: the tracked length, the
 bounded weak-order walk and the automaton are checked against independent
-computations of the same quantities."""
+computations of the same quantities, and the text and JSON forms read back
+equal."""
 
 import itertools
 from datetime import timedelta
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxwalk import automaton
-from coxwalk.diagram import INF, CoxeterDiagram
+from coxwalk.diagram import INF, CoxeterDiagram, parse_diagram
 from coxwalk.element import GroupElement, group_for
 
 LABELS = (2, 3, 4, 5, 6, INF)
@@ -97,3 +98,32 @@ def test_automaton_accepts_exactly_reduced_words(case):
     d, word = case
     reduced = group_for(d).element_of(word).length() == len(word)
     assert automaton_for(d).accepts(word) == reduced
+
+
+@SETTINGS
+@given(diagram_and_word())
+def test_state_simple_roots_are_right_descents(case):
+    d, word = case
+    auto = automaton_for(d)
+    el = group_for(d).element_of(word)
+    sid = auto.run(word)
+    if sid is None:
+        # a word that is not reduced is replaced by a reduced word for el
+        sid = auto.run(el.shortlex_nf())
+    simple = {s for s in range(d.rank) if auto.state_contains_simple(sid, s)}
+    assert simple == el.right_descents()
+
+
+@SETTINGS
+@given(diagrams())
+def test_json_round_trip(d):
+    auto = automaton_for(d)
+    again = automaton.ReducedWordAutomaton.from_json(auto.to_json())
+    assert again.diagram == d
+    assert again == auto
+
+
+@SETTINGS
+@given(diagrams())
+def test_diagram_text_round_trip(d):
+    assert parse_diagram(d.to_text()) == d
