@@ -11,13 +11,12 @@ on the integers, this is checked to embed the weak order exactly.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import element as element_mod
-from .diagram import DiagramClass, classify
+from .diagram import CoxeterDiagram, DiagramClass, classify, isomorphism
 
 INF = math.inf
 
@@ -332,18 +331,9 @@ def recognize_affine(d):
         datum = root_datum(label)
         if d.rank != datum.rank + 1:
             continue
-        target = datum.affine_labels
-        for perm in itertools.permutations(range(d.rank)):
-            ok = True
-            for i in range(d.rank):
-                for j in range(i + 1, d.rank):
-                    if d.labels[i][j] != target[perm[i]][perm[j]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return datum, perm
+        perm = isomorphism(d, CoxeterDiagram(d.names, datum.affine_labels))
+        if perm is not None:
+            return datum, perm
     raise UnsupportedAffineTypeError(
         f"affine diagram {d!r} has no tabulated realization"
     )

@@ -21,7 +21,6 @@ __all__ = [
     "MAX_FIELD_DEGREE",
     "FieldSpec",
     "AlgReal",
-    "GramMatrix",
     "Definiteness",
     "field_for",
     "field_for_lcm",
@@ -217,16 +216,16 @@ class FieldSpec:
             lo / scale - 1e-9 <= approx <= hi / scale + 1e-9
         ):
             raise ArithmeticError("isolating interval does not contain 2cos(pi/L)")
-        self._zero = AlgReal(self, (0,) * d, 1, _raw=True)
+        self._zero = AlgReal(self, (0,) * d, 1)
         one = [0] * d
         one[0] = 1
-        self._one = AlgReal(self, tuple(one), 1, _raw=True)
+        self._one = AlgReal(self, tuple(one), 1)
         if d >= 2:
             g = [0] * d
             g[1] = 1
-            self._gen = AlgReal(self, tuple(g), 1, _raw=True)
+            self._gen = AlgReal(self, tuple(g), 1)
         else:
-            self._gen = AlgReal(self, (-mp[0],), 1, _raw=True)
+            self._gen = AlgReal(self, (-mp[0],), 1)
 
     def _isolate(self, approx):
         if self.degree == 1:
@@ -274,7 +273,7 @@ class FieldSpec:
         den = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
         nums = [int(f * den) for f in fracs]
         nums, den = K.normalize(nums, den)
-        return AlgReal(self, nums, den, _raw=True)
+        return AlgReal(self, nums, den)
 
     def rational(self, value):
         """Embed a rational number."""
@@ -282,10 +281,7 @@ class FieldSpec:
         nums = [0] * self.degree
         nums[0] = f.numerator
         nums, den = K.normalize(nums, f.denominator)
-        return AlgReal(self, nums, den, _raw=True)
-
-    def approx_generator(self):
-        return 2.0 * math.cos(math.pi / self.L)
+        return AlgReal(self, nums, den)
 
     def __repr__(self):
         return f"FieldSpec(L={self.L}, degree={self.degree})"
@@ -327,31 +323,18 @@ class AlgReal:
 
     The representation is canonical (reduced modulo the minimal polynomial,
     gcd-normalized, positive denominator), so equality and hashing are
-    structural and zero is the all-zero vector.
+    structural and zero is the all-zero vector.  The constructor stores the
+    pair it is given, which must already be canonical: a tuple of `degree`
+    integers as returned by `_kernel.normalize`, and its denominator.
+    There is no division and no ordering operator; `sign()` decides order.
     """
 
     __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, nums, den=1, _raw=False):
-        self.field = field
-        if _raw:
-            self.nums = nums
-            self.den = den
-        else:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                nums = [-x for x in nums]
-                den = -den
-            self.nums, self.den = K.normalize(list(nums), den)
-
-    @classmethod
-    def _new(cls, field, nums, den):
-        self = object.__new__(cls)
+    def __init__(self, field, nums, den):
         self.field = field
         self.nums = nums
         self.den = den
-        return self
 
     def _coerce(self, other):
         if isinstance(other, AlgReal):
@@ -371,7 +354,7 @@ class AlgReal:
         sb = self.den // g
         nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
         nums, den = K.normalize(nums, self.den * sa)
-        return AlgReal._new(self.field, nums, den)
+        return AlgReal(self.field, nums, den)
 
     __radd__ = __add__
 
@@ -384,13 +367,10 @@ class AlgReal:
         sb = self.den // g
         nums = [x * sa - y * sb for x, y in zip(self.nums, other.nums)]
         nums, den = K.normalize(nums, self.den * sa)
-        return AlgReal._new(self.field, nums, den)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return AlgReal(self.field, nums, den)
 
     def __neg__(self):
-        return AlgReal._new(self.field, tuple([-x for x in self.nums]), self.den)
+        return AlgReal(self.field, tuple([-x for x in self.nums]), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -398,25 +378,9 @@ class AlgReal:
             return NotImplemented
         nums = K.poly_mul_mod(self.nums, other.nums, self.field._mp_low)
         nums, den = K.normalize(nums, self.den * other.den)
-        return AlgReal._new(self.field, nums, den)
+        return AlgReal(self.field, nums, den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        inv = _poly_inverse_mod(self.nums, self.field)
-        den = math.lcm(*[f.denominator for f in inv]) if inv else 1
-        nums = [int(f * den) for f in inv] + [0] * (self.field.degree - len(inv))
-        nums, den = K.normalize(nums, den)
-        res = AlgReal._new(self.field, nums, den)
-        return res * self.den
 
     def is_zero(self):
         return not any(self.nums)
@@ -453,93 +417,12 @@ class AlgReal:
     def __hash__(self):
         return hash((self.nums, self.den))
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() >= 0
-
     def to_fractions(self):
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def __float__(self):
-        c = self.field.approx_generator()
-        acc = 0.0
-        for n in reversed(self.nums):
-            acc = acc * c + n
-        return acc / self.den
 
     def __repr__(self):
         fr = self.to_fractions()
         return f"AlgReal({[str(f) for f in fr]}, L={self.field.L})"
-
-
-# ---------------------------------------------------------------------------
-# rational-polynomial helpers for inversion (cold path)
-
-def _fpoly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = Fraction(1) / b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return q, _fpoly_trim(a[:db])
-
-
-def _poly_inverse_mod(nums, field):
-    """Coefficients (Fractions) of the inverse of sum nums[i] c^i mod minpoly."""
-    a = _fpoly_trim([Fraction(n) for n in nums])
-    b = [Fraction(c) for c in field.minpoly]
-    # extended Euclid: maintain t with t*a = r (mod minpoly)
-    r0, r1 = b, a
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 0:
-        q, r = _fpoly_divmod(r0, r1)
-        qt = [Fraction(0)] * (len(q) + len(t1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, tj in enumerate(t1):
-                    qt[i + j] += qi * tj
-        t2 = [Fraction(0)] * max(len(t0), len(qt))
-        for i, v in enumerate(t0):
-            t2[i] += v
-        for i, v in enumerate(qt):
-            t2[i] -= v
-        r0, r1 = r1, r
-        t0, t1 = t1, _fpoly_trim(t2)
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible: gcd with minimal polynomial not constant")
-    g = r0[0]
-    return [t / g for t in t0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,34 +445,12 @@ def form_value(diagram, i, j, field=None):
     return acc * Fraction(-1, 2)
 
 
-class GramMatrix:
-    """Symmetric matrix of form values; entries are exact field elements."""
-
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field, entries):
-        self.field = field
-        self.entries = entries
-
-    @property
-    def rank(self):
-        return len(self.entries)
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def __repr__(self):
-        return f"GramMatrix(rank={self.rank}, L={self.field.L})"
-
-
 def gram(diagram, field=None):
+    """The Gram matrix of form values, as a tuple of row tuples."""
     if field is None:
         field = field_for(diagram)
     n = diagram.rank
-    rows = []
-    for i in range(n):
-        rows.append(tuple(form_value(diagram, i, j, field) for j in range(n)))
-    return GramMatrix(field, tuple(rows))
+    return tuple(tuple(form_value(diagram, i, j, field) for j in range(n)) for i in range(n))
 
 
 class Definiteness:
@@ -598,19 +459,24 @@ class Definiteness:
     OTHER = "Other"
 
 
-def definiteness(g):
-    """Classify by exact symmetric Gaussian elimination pivot signs.
+def definiteness(rows):
+    """Classify a symmetric matrix (rows of field elements) by exact pivot signs.
 
     Positive definite iff all pivots positive; positive semidefinite and
     singular iff pivots nonnegative with at least one zero pivot whose whole
     trailing row vanishes; anything else (negative pivot, or a zero pivot
-    with a nonzero trailing row) is indefinite or negative.
+    with a nonzero trailing row) is indefinite or negative.  The elimination
+    is division-free: a positive pivot p updates a[i][j] to
+    p*a[i][j] - a[i][k]*a[k][j], which scales row i of the true Schur
+    complement by p > 0, so every later pivot keeps its sign and every zero
+    row stays zero.
     """
-    n = g.rank
-    a = [list(row) for row in g.entries]
+    n = len(rows)
+    a = [list(row) for row in rows]
     saw_zero = False
     for k in range(n):
-        s = a[k][k].sign()
+        p = a[k][k]
+        s = p.sign()
         if s < 0:
             return Definiteness.OTHER
         if s == 0:
@@ -618,11 +484,10 @@ def definiteness(g):
                 return Definiteness.OTHER
             saw_zero = True
             continue
-        inv = a[k][k].inverse()
         for i in range(k + 1, n):
-            f = a[i][k] * inv
+            f = a[i][k]
             if f.is_zero():
                 continue
             for j in range(k + 1, n):
-                a[i][j] = a[i][j] - f * a[k][j]
+                a[i][j] = p * a[i][j] - f * a[k][j]
     return Definiteness.POS_SEMIDEF_SINGULAR if saw_zero else Definiteness.POS_DEF

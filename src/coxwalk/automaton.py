@@ -310,8 +310,9 @@ def _root_table(diagram, field):
     n = diagram.rank
     mp = field._mp_low
     one = field.one
-    gram_cols_nums = [[gram.entry(i, s).nums for i in range(n)] for s in range(n)]
-    gram_cols_dens = [[gram.entry(i, s).den for i in range(n)] for s in range(n)]
+    # the Gram matrix is symmetric, so its rows are its columns
+    gram_cols_nums = [[e.nums for e in row] for row in gram]
+    gram_cols_dens = [[e.den for e in row] for row in gram]
 
     vectors = _simple_roots(field, n)
     ids = {_root_key(vec): rid for rid, vec in enumerate(vectors)}
@@ -322,7 +323,7 @@ def _root_table(diagram, field):
         beta_dens = [e.den for e in beta]
         for s in range(n):
             nums, den = K.dot_mod(beta_nums, beta_dens, gram_cols_nums[s], gram_cols_dens[s], mp)
-            x = AlgReal._new(field, nums, den)
+            x = AlgReal(field, nums, den)
             if (one - x).sign() <= 0 or (one + x).sign() <= 0:
                 raw_step[s].append(-1)
                 continue

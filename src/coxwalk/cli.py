@@ -8,6 +8,7 @@ error, 3 unsupported affine type.
 
 import argparse
 import json
+import os
 import sys
 
 from . import affine as affine_mod
@@ -75,11 +76,8 @@ def cmd_automaton(args):
         payload["reduced_word_counts"] = counts
         lines.append("reduced words by length: " + " ".join(map(str, counts)))
     if args.export:
-        text = auto.export(args.export)
-        if args.json and args.export == "json":
-            print(text)
-            return EXIT_OK
-        print(text, end="")
+        # both formats end in exactly one newline, with or without --json
+        print(auto.export(args.export).rstrip("\n"))
         return EXIT_OK
     _emit(payload, lines, args.json)
     return EXIT_OK
@@ -199,6 +197,9 @@ def cmd_affine_embed(args):
 
 
 def cmd_verify_paper(args):
+    if args.fixtures is not None and not os.path.isdir(args.fixtures):
+        print(f"error: fixtures directory not found: {args.fixtures}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     results = verification.run_checks(only=args.only, fixtures_dir=args.fixtures)
     if not results:
         print("no checks matched the filter", file=sys.stderr)

@@ -73,7 +73,7 @@ class CoxeterGroup:
         self.diagram = diagram
         self.n = diagram.rank
         self.field = algebra.field_for(diagram)
-        self.gram = algebra.gram(diagram, self.field)
+        gram = algebra.gram(diagram, self.field)
         # sparse generator data: for s, the non-commuting columns j with the
         # exact coefficient -2*(alpha_s | alpha_j); None marks the coefficient
         # 1 of a label 3, which needs an add and no multiply
@@ -85,7 +85,7 @@ class CoxeterGroup:
             for j in range(self.n):
                 if j == s:
                     continue
-                g = self.gram.entry(s, j)
+                g = gram[s][j]
                 if not g.is_zero():
                     coeff = minus_two * g
                     row.append((j, None if coeff == one else coeff))
@@ -158,7 +158,7 @@ class CoxeterGroup:
             col = []
             for i in range(n):
                 nums, den = K.dot_mod(rows_nums[i], rows_dens[i], bn, bd, mp)
-                col.append(AlgReal._new(field, nums, den))
+                col.append(AlgReal(field, nums, den))
             out.append(tuple(col))
         return tuple(out)
 

@@ -89,21 +89,6 @@ def test_field_axioms_randomized(L):
         assert a + field.zero == a
         assert a * field.one == a
         assert (a - a).is_zero()
-        if not b.is_zero():
-            assert (a / b) * b == a
-
-
-@pytest.mark.parametrize("L", [5, 30])
-def test_inverse_roundtrip(L):
-    field = field_for_lcm(L)
-    rng = random.Random(7)
-    for _ in range(40):
-        a = _random_element(field, rng)
-        if a.is_zero():
-            continue
-        assert (a * a.inverse()) == field.one
-    with pytest.raises(ZeroDivisionError):
-        field.zero.inverse()
 
 
 def test_sign_matches_high_precision_floats():
@@ -128,23 +113,15 @@ def test_equality_iff_difference_sign_zero():
         assert (a == b) == ((a - b).sign() == 0)
 
 
-def test_comparison_operators():
-    f = field_for_lcm(5)
-    c = f.generator  # the golden ratio, about 1.618
-    assert f.rational(1) < c < f.rational(2)
-    assert c >= c and c <= c
-
-
 def test_scalar_coercions_and_float():
-    import math
-
     f = field_for_lcm(12)
     c = f.generator
-    assert 2 - c == -(c - 2)
     assert 3 * c == c + c + c
-    assert (c / 2) * 2 == c
-    assert abs(float(c) - 2 * math.cos(math.pi / 12)) < 1e-12
     assert Fraction(1, 2) + c == c + Fraction(1, 2)
+    # no float conversion, division or ordering operator: sign() decides
+    for op in (float, lambda x: x / 2, lambda x: x < 1):
+        with pytest.raises(TypeError):
+            op(c)
 
 
 def test_form_values():
@@ -195,7 +172,7 @@ def test_gram_definiteness_examples():
     assert algebra.definiteness(algebra.gram(a2t)) == Definiteness.POS_SEMIDEF_SINGULAR
     i2inf = parse_diagram("a b; a-b:inf")
     g = algebra.gram(i2inf)
-    assert g.entry(0, 1) == g.field.rational(-1)
+    assert g[0][1] == algebra.field_for(i2inf).rational(-1)
     assert algebra.definiteness(g) == Definiteness.POS_SEMIDEF_SINGULAR
     b3 = parse_diagram("a b c; a-b b-c:4")
     assert algebra.definiteness(algebra.gram(b3)) == Definiteness.POS_DEF

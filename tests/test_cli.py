@@ -115,11 +115,13 @@ def test_automaton_export_dot(capsys):
     code, out, _ = run(capsys, "automaton", fixture("i2inf"), "--export", "dot")
     assert code == 0
     assert out.startswith("digraph")
+    assert out.endswith("}\n")
 
 
 def test_automaton_export_json_roundtrip(capsys):
     code, out, _ = run(capsys, "automaton", fixture("i2inf"), "--export", "json")
     assert code == 0
+    assert out.endswith("}\n")
     payload = json.loads(out)
     assert len(payload["states"]) == 3
     again = ReducedWordAutomaton.from_json(out)
@@ -260,3 +262,11 @@ def test_verify_paper_negative_control(capsys, tmp_path):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_paper_missing_fixtures_dir(capsys, tmp_path):
+    missing = tmp_path / "no_such_dir"
+    code, out, err = run(capsys, "verify-paper", "--fixtures", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(missing) in err

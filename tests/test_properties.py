@@ -1,15 +1,20 @@
 """Property tests over generated diagrams and words: the tracked length, the
-bounded weak-order walk and the automaton are checked against independent
-computations of the same quantities, and the text and JSON forms read back
-equal."""
+bounded weak-order walk, braid closures, the automaton and the Gram
+definiteness are checked against independent computations of the same
+quantities, and the text and JSON forms read back equal."""
 
+import functools
 import itertools
+import operator
 from datetime import timedelta
+from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxwalk import automaton
+from coxwalk import algebra, automaton
+from coxwalk.algebra import Definiteness
 from coxwalk.diagram import INF, CoxeterDiagram, parse_diagram
 from coxwalk.element import GroupElement, group_for
 
@@ -34,13 +39,14 @@ def automaton_for(d):
 
 
 @st.composite
-def diagrams(draw):
-    """Rank 2-4, every pair labelled from LABELS (so possibly reducible)."""
-    n = draw(st.integers(2, 4))
+def diagrams(draw, max_rank=4):
+    """Rank 2 to max_rank, every pair labelled from LABELS (so possibly
+    reducible)."""
+    n = draw(st.integers(2, max_rank))
     labels = [[1] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         labels[i][j] = labels[j][i] = draw(st.sampled_from(LABELS))
-    return CoxeterDiagram("abcd"[:n], labels)
+    return CoxeterDiagram("abcde"[:n], labels)
 
 
 def words(d):
@@ -90,6 +96,83 @@ def test_bounded_weak_leq_matches_length_formula(case):
     # the product carries no tracked length, so this walks to the end
     expected = v.length() + (v.inverse() * w).length() == w.length()
     assert g.weak_leq(v, w) == expected
+
+
+@SETTINGS
+@given(diagram_and_pair())
+def test_weak_leq_matches_reduced_prefixes(case):
+    """v <= w iff some reduced expression of w begins with one of v."""
+    d, first, second = case
+    g = group_for(d)
+    v, w = g.element_of(first), g.element_of(second)
+    lv = v.length()
+    expected = any(g.element_of(expr[:lv]) == v for expr in g.reduced_expressions(w))
+    assert g.weak_leq(v, w) == expected
+
+
+@SETTINGS
+@given(diagram_and_word())
+def test_braid_closure_is_every_reduced_expression(case):
+    """Matsumoto-Tits: braid moves connect all reduced expressions."""
+    d, word = case
+    g = group_for(d)
+    el = g.element_of(word)
+    closure = g.braid_closure(el.shortlex_nf())
+    assert len(closure) == g.count_reduced_expressions(el)
+    assert closure == set(g.reduced_expressions(el))
+
+
+def _det(rows, field):
+    """Determinant by permutation expansion, with field + and * only."""
+    n = len(rows)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = functools.reduce(operator.mul, (rows[i][perm[i]] for i in range(n)))
+        total = total + term * (-1) ** inversions
+    return total
+
+
+def _definiteness_from_minors(rows, field):
+    """Sylvester: positive definite iff every leading principal minor is
+    positive; positive semidefinite iff every principal minor is >= 0."""
+    n = len(rows)
+
+    def minor_sign(idx):
+        return _det([[rows[i][j] for j in idx] for i in idx], field).sign()
+
+    if all(minor_sign(range(k)) > 0 for k in range(1, n + 1)):
+        return Definiteness.POS_DEF
+    if all(
+        minor_sign(idx) >= 0
+        for k in range(1, n + 1)
+        for idx in itertools.combinations(range(n), k)
+    ):
+        return Definiteness.POS_SEMIDEF_SINGULAR
+    return Definiteness.OTHER
+
+
+def _check_definiteness(d):
+    field = algebra.field_for(d)
+    rows = algebra.gram(d, field)
+    assert algebra.definiteness(rows) == _definiteness_from_minors(rows, field)
+
+
+@SETTINGS
+@given(diagrams(max_rank=5))
+def test_definiteness_matches_principal_minors(d):
+    _check_definiteness(d)
+
+
+# uniform sampling rarely draws a positive semidefinite singular form, so
+# every fixture (finite, affine and hyperbolic) is checked explicitly too
+FIXTURE_DIR = resources.files("coxwalk").joinpath("fixtures")
+FIXTURES = sorted(p.name for p in FIXTURE_DIR.iterdir() if p.name.endswith(".cox"))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_definiteness_matches_principal_minors_on_fixtures(name):
+    _check_definiteness(parse_diagram(FIXTURE_DIR.joinpath(name).read_text()))
 
 
 @SETTINGS
