@@ -295,7 +295,16 @@ def _field_degree(L):
 @functools.lru_cache(maxsize=None)
 def field_for_lcm(L):
     """The field Q(2cos(pi/L)); its degree is checked against MAX_FIELD_DEGREE
-    before any polynomial is computed."""
+    before any polynomial is computed.
+
+    Since phi(n) >= sqrt(n/2), the degree phi(2L)/2 is at least sqrt(L)/2,
+    so an L above 4 * MAX_FIELD_DEGREE**2 is refused before 2L is factored.
+    """
+    if L > 4 * MAX_FIELD_DEGREE**2:
+        raise CapExceededError(
+            f"label lcm {L} needs a field of degree above the cap of {MAX_FIELD_DEGREE}",
+            cap=MAX_FIELD_DEGREE,
+        )
     degree = _field_degree(L)
     if degree > MAX_FIELD_DEGREE:
         raise CapExceededError(

@@ -3,20 +3,21 @@
 Three constructions are certified mechanically:
 
 * good pairs (u, w): five conditions that force {w^k u} to be an infinite
-  antichain, each condition checked by full enumeration, plus direct
-  pairwise incomparability of the family prefix;
+  antichain, each condition checked by full enumeration;
 * the rank-5 path diagram with leading label 5, where the family
   {alpha^k w : k = 0 mod 6} rests on two exact computer facts about the
   reduced-word automaton and lengths;
 * the coset construction for irreducible, not locally finite groups.
 
 A label-increase transfer re-verifies an antichain family inside a diagram
-whose labels dominate the original pointwise.
+whose labels dominate the original pointwise.  Every family prefix, whatever
+its construction, passes the same direct check (_verified_family): each word
+is reduced and every pair is incomparable both ways.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from . import automaton as automaton_mod
 from . import diagram as diagram_mod
@@ -30,6 +31,7 @@ __all__ = [
     "CertificateError",
     "CaseVIDiagramError",
     "NoCaseMatchError",
+    "NotAGoodPairError",
     "NoInfiniteAntichainError",
     "check_good_pair",
     "good_pair_family",
@@ -55,6 +57,15 @@ class CaseVIDiagramError(ValueError):
 
 class NoCaseMatchError(ValueError):
     """No case pattern matches the diagram; reported, never silent."""
+
+
+class NotAGoodPairError(CertificateError):
+    """A good-pair condition fails; `report` holds the witnesses."""
+
+    def __init__(self, report):
+        failed = [c for c, ok in report.conditions.items() if not ok]
+        super().__init__(f"not a good pair: conditions {failed} fail")
+        self.report = report
 
 
 class NoInfiniteAntichainError(ValueError):
@@ -94,6 +105,7 @@ class AntichainCertificate:
     family: tuple
     checks: list
     facts: dict = dataclass_field(default_factory=dict)
+    report: object = None  # the GoodPairReport behind a GoodPair family
 
     def to_payload(self):
         return {
@@ -105,26 +117,43 @@ class AntichainCertificate:
         }
 
 
-def _pairwise_incomparable(group, elements, label="family"):
-    """Verify all pairs incomparable in both directions; raise otherwise."""
+def _verified_family(method, d, words, facts):
+    """The certificate for a family prefix, checked directly in W(d).
+
+    Every word must be reduced and every pair incomparable in both
+    directions; any failure raises, because each construction guarantees
+    both.  `facts` gains the member lengths.
+    """
+    group = group_for(d)
+    elements = []
+    for word in words:
+        el = group.element_of(word)
+        if el.length() != len(word):
+            raise CertificateError(f"{method} word {format_word(d, word)} is not reduced")
+        elements.append(el)
     checks = []
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            fwd = group.weak_leq(elements[i], elements[j])
-            bwd = group.weak_leq(elements[j], elements[i])
-            if fwd or bwd:
-                raise CertificateError(
-                    f"{label} members {i} and {j} are comparable "
-                    f"(forward={fwd}, backward={bwd})"
-                )
-            checks.append({"pair": [i, j], "leq_forward": False, "leq_backward": False})
-    return checks
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        fwd = group.weak_leq(elements[i], elements[j])
+        bwd = group.weak_leq(elements[j], elements[i])
+        if fwd or bwd:
+            raise CertificateError(
+                f"{method} members {i} and {j} are comparable "
+                f"(forward={fwd}, backward={bwd})"
+            )
+        checks.append({"pair": [i, j], "leq_forward": False, "leq_backward": False})
+    return AntichainCertificate(
+        method=method,
+        diagram=d,
+        family=tuple(tuple(w) for w in words),
+        checks=checks,
+        facts={**facts, "lengths": [len(w) for w in words]},
+    )
 
 
 # ---------------------------------------------------------------------------
 # good pairs
 
-def check_good_pair(u, w, cap=None):
+def check_good_pair(u, w):
     """Evaluate the five good-pair conditions with witnesses.
 
     (i) length comparison, (ii) u not below w, (iii) support size of w,
@@ -136,7 +165,6 @@ def check_good_pair(u, w, cap=None):
         raise ValueError("u and w must live in the same group")
     group = u.group
     d = group.diagram
-    kwargs = {} if cap is None else {"cap": cap}
     conditions = {}
     witnesses = {}
 
@@ -157,10 +185,10 @@ def check_good_pair(u, w, cap=None):
     if not conditions["iii"]:
         witnesses["iii"] = f"S(w) = {{{', '.join(d.names[s] for s in sorted(supp))}}}"
 
-    conditions["iv"], wit = _split_condition(group, w, u, **kwargs)
+    conditions["iv"], wit = _split_condition(group, w, u)
     if wit:
         witnesses["iv"] = wit
-    conditions["v"], wit = _split_condition(group, w, w, **kwargs)
+    conditions["v"], wit = _split_condition(group, w, w)
     if wit:
         witnesses["v"] = wit
 
@@ -173,7 +201,7 @@ def check_good_pair(u, w, cap=None):
     )
 
 
-def _split_condition(group, w, tail, cap=None):
+def _split_condition(group, w, tail):
     """Does every reduced expression of w*tail split at l(w) into reduced
     expressions of w and of tail?"""
     d = group.diagram
@@ -181,8 +209,7 @@ def _split_condition(group, w, tail, cap=None):
     prod = w * tail
     if prod.length() != lw + lt:
         return False, f"l(w*tail) = {prod.length()} < {lw} + {lt}"
-    kwargs = {} if cap is None else {"cap": cap}
-    for expr in group.reduced_expressions(prod, **kwargs):
+    for expr in group.reduced_expressions(prod):
         prefix = group.element_of(expr[:lw])
         if prefix != w:
             return False, (
@@ -193,41 +220,25 @@ def _split_condition(group, w, tail, cap=None):
 
 
 def good_pair_family(u, w, kmax):
-    """The antichain prefix {w^k u : 0 <= k <= kmax}, verified directly."""
+    """The antichain prefix {w^k u : 0 <= k <= kmax}, verified directly.
+
+    The five conditions are evaluated once: a failure raises
+    NotAGoodPairError with the report, a success keeps it as `report`.
+    """
     report = check_good_pair(u, w)
     if not report.all_hold:
-        failed = [c for c, ok in report.conditions.items() if not ok]
-        raise CertificateError(f"not a good pair: conditions {failed} fail")
-    group = u.group
-    lu, lw = u.length(), w.length()
-    elements = []
-    words = []
-    cur = u
-    word = tuple(u.shortlex_nf())
-    wword = tuple(w.shortlex_nf())
-    for k in range(kmax + 1):
-        if cur.length() != k * lw + lu:
-            raise CertificateError(
-                f"l(w^{k} u) = {cur.length()} != {k}*{lw} + {lu}"
-            )
-        elements.append(cur)
-        words.append(word)
-        cur = w * cur
-        word = wword + word
-    checks = _pairwise_incomparable(group, elements)
-    return AntichainCertificate(
-        method="GoodPair",
-        diagram=group.diagram,
-        family=tuple(words),
-        checks=checks,
-        facts={
-            "u": format_word(group.diagram, u.shortlex_nf()),
-            "w": format_word(group.diagram, w.shortlex_nf()),
-            "kmax": kmax,
-            "lengths": [el.length() for el in elements],
-            "conditions": dict(report.conditions),
-        },
-    )
+        raise NotAGoodPairError(report)
+    d = report.diagram
+    words = [report.w_word * k + report.u_word for k in range(kmax + 1)]
+    facts = {
+        "u": format_word(d, report.u_word),
+        "w": format_word(d, report.w_word),
+        "kmax": kmax,
+        "conditions": dict(report.conditions),
+    }
+    cert = _verified_family("GoodPair", d, words, facts)
+    cert.report = report
+    return cert
 
 
 def junction_braid_moves(group, exprs_a, exprs_b):
@@ -570,31 +581,18 @@ def case_vi_certificate(kmax=18, d=None, auto=None):
 
     s, t, u, v, w = facts["order"]
     alpha_word = (s, t, u, v, w, s, t, u, v)
-    group = group_for(d)
-    alpha = group.element_of(alpha_word)
-    wgen = group.element_of((w,))
-
-    family_elements = []
-    cur = group.identity
-    for k in range(0, kmax + 1):
-        if k % 6 == 0:
-            family_elements.append(cur * wgen)
-        cur = cur * alpha
-    family_words = [alpha_word * k + (w,) for k in range(0, kmax + 1) if k % 6 == 0]
-    checks = _pairwise_incomparable(group, family_elements)
-    return AntichainCertificate(
-        method="AutomatonCycle",
-        diagram=d,
-        family=tuple(family_words),
-        checks=checks,
-        facts={
+    values = facts["values"]
+    return _verified_family(
+        "AutomatonCycle",
+        d,
+        [alpha_word * k + (w,) for k in range(0, kmax + 1, 6)],
+        {
             "alpha": format_word(d, alpha_word),
-            "alpha_length": facts["values"]["alpha_length"],
-            "state_w_alpha6": facts["values"]["state_w_alpha6"],
-            "state_w_alpha7": facts["values"]["state_w_alpha7"],
-            "length_w_alpha7_w": facts["values"]["length_w_alpha7_w"],
-            "lengths_w_alphak_w": facts["values"]["lengths_w_alphak_w"],
-            "family_lengths": [el.length() for el in family_elements],
+            "alpha_length": values["alpha_length"],
+            "state_w_alpha6": values["state_w_alpha6"],
+            "state_w_alpha7": values["state_w_alpha7"],
+            "length_w_alpha7_w": values["length_w_alpha7_w"],
+            "lengths_w_alphak_w": values["lengths_w_alphak_w"],
             "kmax": kmax,
         },
     )
@@ -603,7 +601,7 @@ def case_vi_certificate(kmax=18, d=None, auto=None):
 # ---------------------------------------------------------------------------
 # coset construction for irreducible, not locally finite groups
 
-def not_locally_finite_antichain(d, count=20, depth_cap=None):
+def not_locally_finite_antichain(d, count=20):
     """Build {w s' : w in W_J with right descent set {s}} for an infinite
     irreducible proper parabolic W_J and a neighbour s' outside J; verify
     pairwise incomparability directly."""
@@ -612,29 +610,21 @@ def not_locally_finite_antichain(d, count=20, depth_cap=None):
     if diagram_mod.is_locally_finite(d):
         raise ValueError("every proper parabolic is finite: construction does not apply")
 
-    chosen = None
-    for size in range(1, d.rank):
-        for J in itertools.combinations(range(d.rank), size):
-            sub = subdiagram(d, J)
-            if len(components(sub)) != 1:
-                continue
-            if classify(sub) == DiagramClass.FINITE:
-                continue
-            chosen = J
-            break
-        if chosen:
-            break
-    if chosen is None:
+    subs = (
+        (list(J), subdiagram(d, J))
+        for size in range(1, d.rank)
+        for J in itertools.combinations(range(d.rank), size)
+    )
+    J = next(
+        (J for J, sub in subs if len(components(sub)) == 1 and classify(sub) != DiagramClass.FINITE),
+        None,
+    )
+    if J is None:
         raise ValueError("no infinite irreducible proper parabolic found")
-    J = list(chosen)
-    pair = None
-    for s in J:
-        for sp in range(d.rank):
-            if sp not in chosen and d.labels[s][sp] >= 3:
-                pair = (s, sp)
-                break
-        if pair:
-            break
+    pair = next(
+        ((s, sp) for s in J for sp in range(d.rank) if sp not in J and d.labels[s][sp] >= 3),
+        None,
+    )
     if pair is None:
         raise ValueError("no neighbour outside the parabolic (diagram not irreducible?)")
     s, s_prime = pair
@@ -642,14 +632,9 @@ def not_locally_finite_antichain(d, count=20, depth_cap=None):
     group = group_for(d)
     K = [x for x in J if x != s]
     depth = count
-    cap = depth_cap if depth_cap is not None else 4 * count + 8
-    reps = []
+    cap = 4 * count + 8
     while True:
-        reps = [
-            el
-            for el in group.min_coset_reps(J, K, depth)
-            if el.length() > 0
-        ]
+        reps = [el for el in group.min_coset_reps(J, K, depth) if el.length() > 0]
         if len(reps) >= count or depth >= cap:
             break
         depth = min(2 * depth, cap)
@@ -662,29 +647,18 @@ def not_locally_finite_antichain(d, count=20, depth_cap=None):
         )
     reps = reps[:count]
 
-    words = []
-    elements = []
     for el in reps:
         if el.right_descents() != {s}:
             raise CertificateError("coset representative has unexpected descent set")
-        word = tuple(el.shortlex_nf()) + (s_prime,)
-        lifted = group.element_of(word)
-        if lifted.length() != len(word):
-            raise CertificateError("appended word is not reduced")
-        words.append(word)
-        elements.append(lifted)
-    checks = _pairwise_incomparable(group, elements)
-    return AntichainCertificate(
-        method="CosetConstruction",
-        diagram=d,
-        family=tuple(words),
-        checks=checks,
-        facts={
+    return _verified_family(
+        "CosetConstruction",
+        d,
+        [tuple(el.shortlex_nf()) + (s_prime,) for el in reps],
+        {
             "J": [d.names[x] for x in J],
             "s": d.names[s],
             "s_prime": d.names[s_prime],
             "count": count,
-            "lengths": [el.length() for el in elements],
         },
     )
 
@@ -707,51 +681,30 @@ def transfer_label_increase(words, d, d_target):
                 raise ValueError(
                     f"target label m({d.names[i]},{d.names[j]}) decreased"
                 )
-    group = group_for(d_target)
-    elements = []
-    for word in words:
-        el = group.element_of(word)
-        if el.length() != len(word):
-            raise CertificateError(
-                f"word {format_word(d_target, word)} is not reduced after the increase"
-            )
-        elements.append(el)
-    checks = _pairwise_incomparable(group, elements)
-    return AntichainCertificate(
-        method="LabelTransfer",
-        diagram=d_target,
-        family=tuple(tuple(w) for w in words),
-        checks=checks,
-        facts={
-            "source": d.to_text().strip(),
-            "lengths": [el.length() for el in elements],
-        },
-    )
+    return _verified_family("LabelTransfer", d_target, words, {"source": d.to_text().strip()})
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-def certify_antichain(d, method="auto", count=20, kmax=6):
-    """Produce a certificate for the diagram, or raise
-    NoInfiniteAntichainError when none can exist (finite or affine)."""
+def certify_antichain(d, count=20, kmax=6):
+    """Produce a certificate for the diagram, by the construction its
+    classification calls for, or raise NoInfiniteAntichainError when none
+    can exist (finite or affine)."""
     comps = components(d)
     if len(comps) > 1:
         last_refusal = None
         for comp in comps:
             sub = subdiagram(d, comp)
             try:
-                cert = certify_antichain(sub, method=method, count=count, kmax=kmax)
+                cert = certify_antichain(sub, count=count, kmax=kmax)
             except NoInfiniteAntichainError as exc:
                 last_refusal = exc
                 continue
-            mapping = list(comp)
-            family = tuple(tuple(mapping[s] for s in w) for w in cert.family)
-            return AntichainCertificate(
-                method=cert.method,
+            return replace(
+                cert,
                 diagram=d,
-                family=family,
-                checks=cert.checks,
+                family=tuple(tuple(comp[s] for s in w) for w in cert.family),
                 facts={**cert.facts, "component": [d.names[i] for i in comp]},
             )
         raise NoInfiniteAntichainError(
@@ -761,49 +714,33 @@ def certify_antichain(d, method="auto", count=20, kmax=6):
         )
 
     cls = classify(d)
-    if method == "auto":
-        if cls == DiagramClass.FINITE:
-            raise NoInfiniteAntichainError(
-                "finite group: no infinite antichain exists", cls
-            )
-        if cls == DiagramClass.AFFINE:
-            raise NoInfiniteAntichainError(
-                "affine: no infinite antichain exists", cls
-            )
-        if cls == DiagramClass.OTHER_INFINITE:
-            return not_locally_finite_antichain(d, count=count)
-        # compact hyperbolic
-        if isomorphism(d, case_vi_diagram()) is not None:
-            k = max(6, (kmax // 6) * 6 or 6)
-            return case_vi_certificate(kmax=k, d=d)
-        return _good_pair_certificate(d, kmax=kmax)
-    if method == "coset":
+    if cls == DiagramClass.FINITE:
+        raise NoInfiniteAntichainError("finite group: no infinite antichain exists", cls)
+    if cls == DiagramClass.AFFINE:
+        raise NoInfiniteAntichainError("affine: no infinite antichain exists", cls)
+    if cls == DiagramClass.OTHER_INFINITE:
         return not_locally_finite_antichain(d, count=count)
-    if method == "casevi":
-        k = max(6, (kmax // 6) * 6 or 6)
-        return case_vi_certificate(kmax=k, d=d)
-    if method == "goodpair":
-        return _good_pair_certificate(d, kmax=kmax)
-    raise ValueError(f"unknown method {method!r}")
+    # compact hyperbolic
+    if isomorphism(d, case_vi_diagram()) is not None:
+        return case_vi_certificate(kmax=max(6, kmax // 6 * 6), d=d)
+    return _good_pair_certificate(d, kmax=kmax)
 
 
 def _good_pair_certificate(d, kmax):
+    """The dispatched pair's family in d; should the pair ever fail there,
+    verify it in the minimal case diagram and transfer the family."""
     pair = compact_hyperbolic_pair(d)
-    group = group_for(d)
-    u = group.element_of(pair.u_word)
-    w = group.element_of(pair.w_word)
-    report = check_good_pair(u, w)
-    if report.all_hold:
-        cert = good_pair_family(u, w, kmax)
-        cert.facts["case"] = pair.case
-        return cert
-    # fall back to verifying in the minimal case diagram and transferring
-    base = pair.base_diagram(d)
-    base_group = group_for(base)
-    bu = base_group.element_of(pair.u_word)
-    bw = base_group.element_of(pair.w_word)
-    base_cert = good_pair_family(bu, bw, kmax)
-    cert = transfer_label_increase(base_cert.family, base, d)
+
+    def family(diagram):
+        group = group_for(diagram)
+        return good_pair_family(group.element_of(pair.u_word), group.element_of(pair.w_word), kmax)
+
+    try:
+        cert = family(d)
+    except NotAGoodPairError:
+        base = pair.base_diagram(d)
+        base_cert = family(base)
+        cert = transfer_label_increase(base_cert.family, base, d)
+        cert.facts["base_conditions"] = base_cert.facts["conditions"]
     cert.facts["case"] = pair.case
-    cert.facts["base_conditions"] = base_cert.facts["conditions"]
     return cert

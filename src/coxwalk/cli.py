@@ -131,7 +131,12 @@ def cmd_goodpair(args):
     group = group_for(d)
     u = group.element_of(parse_word(d, args.word_u))
     w = group.element_of(parse_word(d, args.word_w))
-    report = antichain_mod.check_good_pair(u, w)
+    try:
+        cert = antichain_mod.good_pair_family(u, w, args.kmax)
+    except antichain_mod.NotAGoodPairError as exc:
+        cert, report = None, exc.report
+    else:
+        report = cert.report
     payload = {"command": "goodpair", "file": args.file, "report": report.to_payload()}
     lines = [
         f"condition ({name}): {'pass' if ok else 'FAIL'}"
@@ -139,8 +144,7 @@ def cmd_goodpair(args):
         for name, ok in report.conditions.items()
     ]
     lines.append(f"good pair: {report.all_hold}")
-    if report.all_hold:
-        cert = antichain_mod.good_pair_family(u, w, args.kmax)
+    if cert is not None:
         payload["certificate"] = cert.to_payload()
         lines.append(
             f"family w^k u for k <= {args.kmax}: lengths "
@@ -154,9 +158,7 @@ def cmd_goodpair(args):
 def cmd_antichain(args):
     d = _load_diagram(args.file)
     try:
-        cert = antichain_mod.certify_antichain(
-            d, method=args.method, count=args.n, kmax=args.kmax
-        )
+        cert = antichain_mod.certify_antichain(d, count=args.n, kmax=args.kmax)
     except antichain_mod.NoInfiniteAntichainError as exc:
         payload = {
             "command": "antichain",
@@ -278,7 +280,6 @@ def build_parser():
 
     p = sub.add_parser("antichain", help="produce an infinite-antichain certificate")
     p.add_argument("file")
-    p.add_argument("--method", choices=("auto", "coset", "casevi"), default="auto")
     p.add_argument("--n", type=_int_at_least(1), default=20, help="family size for the coset construction")
     p.add_argument("--kmax", type=_int_at_least(0), default=6)
     p.add_argument("--json", action="store_true")

@@ -256,47 +256,53 @@ class CoxeterGroup:
         # the inverse of v^-1 w is w^-1 v
         return self._walk(self._mat_mul(w.icols, v.cols), lw - lv) is not None
 
+    def _descent_levels(self, w, cap=None):
+        """The elements reached from w by removing right descents, one dict
+        per length from the identity up to w, mapping each element to its
+        edges [(s, el * s) for s a right descent].
+
+        Every element but the identity ends at least one reduced expression
+        of itself, so more than cap + 1 elements exceed a cap of cap
+        expressions; the walk stops there instead of listing them all.
+        """
+        levels = []
+        level = dict.fromkeys([w])
+        size = 1
+        while level:
+            below = {}
+            for el in level:
+                level[el] = [(s, el.right_mul_gen(s)) for s in el.right_descents()]
+                below.update(dict.fromkeys(x for _, x in level[el]))
+            levels.append(level)
+            size += len(below)
+            if cap is not None and size > cap + 1:
+                raise _expressions_cap_error(cap)
+            level = below
+        return reversed(levels)
+
     def reduced_expressions(self, w, cap=DEFAULT_WORDS_CAP):
-        """All reduced expressions of w, by recursion over right descents."""
-        memo = {}
-        total = [0]
-
-        def rec(el):
-            cached = memo.get(el)
-            if cached is not None:
-                return cached
-            if el.length() == 0:
-                result = ((),)
-            else:
-                out = []
-                for s in el.right_descents():
-                    for sub in rec(el.right_mul_gen(s)):
-                        out.append(sub + (s,))
-                total[0] += len(out)
-                if total[0] > cap:
-                    raise CapExceededError(
-                        f"reduced-expression enumeration exceeded cap of {cap}", cap=cap
-                    )
-                result = tuple(out)
-            memo[el] = result
-            return result
-
-        return sorted(rec(w))
+        """All reduced expressions of w, sorted; built up the right descent
+        graph one length at a time, so long words need no recursion."""
+        exprs = {}
+        total = 0
+        for level in self._descent_levels(w, cap):
+            for el, edges in level.items():
+                if not edges:  # the identity
+                    exprs[el] = [()]
+                    continue
+                out = [sub + (s,) for s, x in edges for sub in exprs[x]]
+                total += len(out)
+                if total > cap:
+                    raise _expressions_cap_error(cap)
+                exprs[el] = out
+        return sorted(exprs[w])
 
     def count_reduced_expressions(self, w):
-        memo = {}
-
-        def rec(el):
-            if el.length() == 0:
-                return 1
-            cached = memo.get(el)
-            if cached is not None:
-                return cached
-            total = sum(rec(el.right_mul_gen(s)) for s in el.right_descents())
-            memo[el] = total
-            return total
-
-        return rec(w)
+        counts = {}
+        for level in self._descent_levels(w):
+            for el, edges in level.items():
+                counts[el] = sum(counts[x] for _, x in edges) if edges else 1
+        return counts[w]
 
     def braid_closure(self, word, cap=DEFAULT_WORDS_CAP):
         """BFS closure of a reduced word under braid moves.
@@ -492,6 +498,10 @@ class Ball:
 
 
 _GROUPS = {}
+
+
+def _expressions_cap_error(cap):
+    return CapExceededError(f"reduced-expression enumeration exceeded cap of {cap}", cap=cap)
 
 
 def group_for(diagram):

@@ -194,3 +194,15 @@ def test_field_degree_cap():
     with pytest.raises(CapExceededError) as exc:
         field_for_lcm(2002)
     assert exc.value.info == {"cap": algebra.MAX_FIELD_DEGREE, "degree": 720}
+
+
+
+def test_huge_label_refused_before_factoring():
+    # degree phi(2L)/2 >= sqrt(L)/2 exceeds the cap for every L above 4 * cap**2;
+    # 2305843009213693951 is prime, so trial division of 2L would not finish
+    bound = 4 * algebra.MAX_FIELD_DEGREE**2
+    assert bound == 65536
+    for L in (bound + 1, 2 * 2305843009213693951):
+        with pytest.raises(CapExceededError) as exc:
+            field_for_lcm(L)
+        assert exc.value.info == {"cap": algebra.MAX_FIELD_DEGREE}

@@ -175,7 +175,7 @@ def test_case_vi_certificate_validation(vctx, case_vi_automaton):
     )
     assert cert.method == "AutomatonCycle"
     assert cert.facts["length_w_alpha7_w"] == 65
-    assert cert.facts["family_lengths"] == [1, 55]
+    assert cert.facts["lengths"] == [1, 55]
 
 
 def test_coset_antichain_universal():
@@ -290,8 +290,8 @@ def test_good_pair_certificate_fallback(monkeypatch):
     real = antichain.check_good_pair
     state = {"first": True}
 
-    def flaky(u, w, cap=None):
-        report = real(u, w, cap)
+    def flaky(u, w):
+        report = real(u, w)
         if state["first"]:
             state["first"] = False
             report.conditions = dict(report.conditions, ii=False)
@@ -328,3 +328,44 @@ def test_certificate_payload_shape():
         c["leq_forward"] is False and c["leq_backward"] is False
         for c in payload["checks"]
     )
+
+
+def _check_family_independently(cert):
+    """Re-check a certificate without weak_leq: every word's ShortLex normal
+    form is as long as the word, and no pair satisfies the length formula
+    l(v) + l(v^-1 w) = l(w) in either direction."""
+    g = group_for(cert.diagram)
+    elements = [g.element_of(word) for word in cert.family]
+    for word, el in zip(cert.family, elements):
+        assert len(el.shortlex_nf()) == len(word), format_word(cert.diagram, word)
+    assert cert.facts["lengths"] == [len(word) for word in cert.family]
+    for i, v in enumerate(elements):
+        for j, w in enumerate(elements):
+            if i != j:
+                assert v.length() + (v.inverse() * w).length() != w.length(), (i, j)
+    n = len(elements)
+    assert len(cert.checks) == n * (n - 1) // 2
+
+
+def test_families_pass_independent_checker(vctx, case_vi_automaton):
+    base = vctx.fixture("triangle_334")
+    g = group_for(base)
+    pair = antichain.compact_hyperbolic_pair(base)
+    good = antichain.good_pair_family(
+        g.element_of(pair.u_word), g.element_of(pair.w_word), 4
+    )
+    transferred = antichain.transfer_label_increase(
+        good.family, base, vctx.fixture("triangle_335")
+    )
+    certs = [
+        good,
+        antichain.not_locally_finite_antichain(vctx.fixture("universal_rank3"), count=6),
+        transferred,
+        antichain.case_vi_certificate(
+            kmax=6, d=vctx.fixture("case_vi"), auto=case_vi_automaton
+        ),
+    ]
+    methods = [cert.method for cert in certs]
+    assert methods == ["GoodPair", "CosetConstruction", "LabelTransfer", "AutomatonCycle"]
+    for cert in certs:
+        _check_family_independently(cert)

@@ -1,11 +1,17 @@
 """Command-line interface: verdicts, exit codes, json/human agreement."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxwalk.automaton import ReducedWordAutomaton, build
 from coxwalk.cli import main
@@ -16,6 +22,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "coxwalk" / "fixture
 
 def fixture(name):
     return str(FIXTURES / f"{name}.cox")
+
+
+# 2305843009213693951 = 2**61 - 1 is prime
+HUGE_PRIME_LABEL = "a b\na-b:2305843009213693951\n"
 
 
 def run(capsys, *argv):
@@ -99,6 +109,17 @@ def test_compare_field_degree_cap(capsys, tmp_path):
     assert "degree" in err
 
 
+@pytest.mark.parametrize("argv", [("automaton",), ("compare", "a", "a b")])
+def test_huge_prime_label_exits_at_once(capsys, tmp_path, argv):
+    f = tmp_path / "huge.cox"
+    f.write_text(HUGE_PRIME_LABEL)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert err.startswith("error: label lcm")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/path.cox")
     assert code == 2
@@ -175,6 +196,15 @@ def test_goodpair_fail(capsys):
     assert "FAIL" in out
 
 
+def test_goodpair_long_word_has_no_recursion_limit(capsys):
+    # condition (v) enumerates the reduced expressions of w*w, 1200 letters long
+    w = " ".join(["s t"] * 300)
+    code, out, err = run(capsys, "goodpair", fixture("universal_rank3"), "u", w)
+    assert code in (0, 1)
+    assert "good pair: " in out
+    assert "Traceback" not in err
+
+
 def test_antichain_refusal_affine(capsys):
     code, out, _ = run(capsys, "antichain", fixture("affine_a2"))
     assert code == 0
@@ -193,18 +223,11 @@ def test_antichain_coset(capsys):
     assert "CosetConstruction" in out
 
 
-def test_antichain_casevi_wrong_diagram(capsys):
-    code, _, err = run(
-        capsys, "antichain", fixture("triangle_334"), "--method", "casevi"
-    )
-    assert code == 2
-
-
-def test_antichain_coset_inapplicable(capsys):
-    code, _, err = run(
-        capsys, "antichain", fixture("triangle_334"), "--method", "coset"
-    )
-    assert code == 2
+def test_antichain_case_vi_automaton_cycle(capsys):
+    code, out, _ = run(capsys, "antichain", fixture("case_vi"), "--kmax", "6")
+    assert code == 0
+    assert "method: AutomatonCycle" in out
+    assert "family size: 2" in out
 
 
 def test_affine_embed(capsys):
@@ -270,3 +293,39 @@ def test_verify_paper_missing_fixtures_dir(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and str(missing) in err
+
+
+FIXTURE_TEXTS = {path.name: path.read_text() for path in sorted(FIXTURES.glob("*.cox"))}
+MUTATION_TOKENS = ("-", ":", ";", "#", "0", "9", "1", "7", "inf", " ", "\n")
+
+
+@st.composite
+def malformed_fixture(draw):
+    """A fixture text with one token inserted, deleted or replaced."""
+    text = FIXTURE_TEXTS[draw(st.sampled_from(sorted(FIXTURE_TEXTS)))]
+    pos = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(("insert", "delete", "replace")))
+    if op == "delete":
+        return text[:pos] + text[pos + 1 :]
+    token = draw(st.sampled_from(MUTATION_TOKENS))
+    return text[:pos] + token + text[pos + (op == "replace") :]
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=5), max_examples=150)
+@given(malformed_fixture())
+@example(HUGE_PRIME_LABEL)
+def test_malformed_files_exit_cleanly(text):
+    """Mutated diagram files exit 0, 2 or 3; a nonzero exit prints exactly one
+    error: or unsupported: line, and no exception escapes main()."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.cox"
+        path.write_text(text)
+        for argv in (["classify", str(path)], ["automaton", str(path), "--cap", "500"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv[0], code, err.getvalue())
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert lines[0].startswith(("error: ", "unsupported: ")), lines

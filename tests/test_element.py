@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -206,6 +207,19 @@ def test_reduced_expressions_cap():
     w0 = g.element_of((0, 1, 0, 2, 1, 0))
     with pytest.raises(CapExceededError):
         g.reduced_expressions(w0, cap=3)
+
+
+
+def test_reduced_expressions_cap_stops_early():
+    # w0 of A8 lies above all 362880 elements; a cap of 100 expressions must
+    # stop the walk long before it has visited them
+    g = group_for(parse_diagram("a b c d e f g h; a-b b-c c-d d-e e-f f-g g-h"))
+    w0 = g.element_of(tuple(s for top in range(8) for s in range(top, -1, -1)))
+    assert w0.length() == 36
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        g.reduced_expressions(w0, cap=100)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_braid_closure():
