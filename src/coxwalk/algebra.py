@@ -1,13 +1,16 @@
 """Exact arithmetic in the real cyclotomic field Q(c), c = 2cos(pi/L).
 
-Every bilinear-form value -cos(pi/m) of a Coxeter diagram with finite label
-lcm L lies in Q(c): cos(pi/m) = T_{L/m}(c/2) with T_k the degree-k Chebyshev
-polynomial.  Since c is an algebraic integer, its minimal polynomial is
-monic with integer coefficients, so elements of Q(c) are integer numerator
-vectors in the power basis 1, c, ..., c^(d-1) over a positive common
-denominator.  Equality is decidable by coefficient comparison; signs are
-decided by exact interval arithmetic over dyadic rationals, refining an
-isolating interval for c by bisection until zero is excluded.
+A Coxeter diagram's field takes L to be the lcm of its finite labels >= 4
+(1 if there is none): cos(pi/2) = 0 and cos(pi/3) = 1/2 are rational, so
+labels 2 and 3 need no extension.  Every other bilinear-form value
+-cos(pi/m) lies in Q(c): cos(pi/m) = T_{L/m}(c/2) with T_k the degree-k
+Chebyshev polynomial.  Since c is an algebraic integer, its minimal
+polynomial is monic with integer coefficients, so elements of Q(c) are
+integer numerator vectors in the power basis 1, c, ..., c^(d-1) over a
+positive common denominator.  Equality is decidable by coefficient
+comparison; signs are decided by exact interval arithmetic over dyadic
+rationals, refining an isolating interval for c by bisection until zero is
+excluded.
 """
 
 import functools
@@ -31,10 +34,11 @@ __all__ = [
 ]
 
 
-# Largest field degree phi(2L)/2 that field_for_lcm accepts.  The built-in
-# fixtures need at most 16 (L = 60), and any diagram whose finite labels are
-# all <= 7 at most 96 (L = 420).  Labels 7, 11, 13 (L = 2002) would need 720;
-# `compare` on that path had not finished after 40 s before this cap.
+# Largest field degree phi(2L)/2 that field_for_lcm accepts, L the lcm of the
+# finite labels >= 4 (1 if there is none).  The built-in fixtures need at most
+# 8 (L = 20), and any diagram whose finite labels are all <= 7 at most 96
+# (L = 420).  Labels 7, 11, 13 (L = 1001) would need 360; at degree 720
+# `compare` on that path had not finished after 40 s.
 MAX_FIELD_DEGREE = 128
 
 
@@ -317,12 +321,14 @@ def field_for_lcm(L):
 
 
 def field_for(diagram):
-    """Field housing all form values of the diagram: L = lcm of finite labels."""
-    L = 2
+    """Field housing all form values of the diagram: L = lcm of the finite
+    labels >= 4 (1 if there is none), since labels 2 and 3 give rational
+    form values."""
+    L = 1
     for i in range(diagram.rank):
         for j in range(i + 1, diagram.rank):
             m = diagram.label(i, j)
-            if not math.isinf(m):
+            if not math.isinf(m) and m > 3:
                 L = math.lcm(L, int(m))
     return field_for_lcm(L)
 
@@ -438,7 +444,10 @@ class AlgReal:
 # bilinear form of a diagram
 
 def form_value(diagram, i, j, field=None):
-    """-cos(pi/m(i,j)) as an exact field element; 1 on the diagonal, -1 for m = oo."""
+    """-cos(pi/m(i,j)) as an exact field element; 1 on the diagonal, -1 for m = oo.
+
+    A finite label m >= 4 must divide field.L; otherwise ValueError.
+    """
     if field is None:
         field = field_for(diagram)
     if i == j:
@@ -446,7 +455,13 @@ def form_value(diagram, i, j, field=None):
     m = diagram.label(i, j)
     if math.isinf(m):
         return -field.one
-    k = field.L // int(m)
+    if m == 2:
+        return field.zero
+    if m == 3:
+        return field.rational(Fraction(-1, 2))
+    k, rem = divmod(field.L, int(m))
+    if rem:
+        raise ValueError(f"label {m} does not divide the field's L = {field.L}")
     c = field.generator
     acc = field.zero
     for coeff in reversed(_dickson(k)):

@@ -25,6 +25,7 @@ from .diagram import DiagramClass, classify, components, isomorphism, subdiagram
 from .element import CapExceededError, format_word, group_for
 
 __all__ = [
+    "FAMILY_CAP",
     "GoodPairReport",
     "AntichainCertificate",
     "CasePair",
@@ -44,6 +45,22 @@ __all__ = [
     "certify_antichain",
     "junction_braid_moves",
 ]
+
+
+# Largest `kmax` and `count` a family construction accepts.  A good-pair
+# family has kmax + 1 members, the rank-5 family kmax/6 + 1 and a coset family
+# count; the built-in uses go up to kmax = 18 and count = 20.  At the cap the
+# slowest fixture family (fig1_path5_4335, members up to length 259) takes
+# about 8 s on a 2-vCPU VM, and the work grows with the cube of the size.
+FAMILY_CAP = 32
+
+
+def _check_family_cap(name, value):
+    if value > FAMILY_CAP:
+        raise CapExceededError(
+            f"{name} {value} is above the antichain family cap of {FAMILY_CAP}",
+            cap=FAMILY_CAP,
+        )
 
 
 class CertificateError(RuntimeError):
@@ -225,6 +242,7 @@ def good_pair_family(u, w, kmax):
     The five conditions are evaluated once: a failure raises
     NotAGoodPairError with the report, a success keeps it as `report`.
     """
+    _check_family_cap("kmax", kmax)
     report = check_good_pair(u, w)
     if not report.all_hold:
         raise NotAGoodPairError(report)
@@ -569,6 +587,7 @@ def case_vi_certificate(kmax=18, d=None, auto=None):
     incomparability of the family up to kmax."""
     if kmax < 6 or kmax % 6:
         raise ValueError("kmax must be a positive multiple of 6")
+    _check_family_cap("kmax", kmax)
     canonical = case_vi_diagram()
     if d is None:
         d = canonical
@@ -605,6 +624,7 @@ def not_locally_finite_antichain(d, count=20):
     """Build {w s' : w in W_J with right descent set {s}} for an infinite
     irreducible proper parabolic W_J and a neighbour s' outside J; verify
     pairwise incomparability directly."""
+    _check_family_cap("count", count)
     if len(components(d)) != 1:
         raise diagram_mod.ReducibleDiagramError("construction needs an irreducible diagram")
     if diagram_mod.is_locally_finite(d):
@@ -691,6 +711,8 @@ def certify_antichain(d, count=20, kmax=6):
     """Produce a certificate for the diagram, by the construction its
     classification calls for, or raise NoInfiniteAntichainError when none
     can exist (finite or affine)."""
+    _check_family_cap("count", count)
+    _check_family_cap("kmax", kmax)
     comps = components(d)
     if len(comps) > 1:
         last_refusal = None

@@ -226,7 +226,12 @@ class ReducedWordAutomaton:
             diagram = parse_diagram(payload["diagram"]) if names else CoxeterDiagram((), ())
         if list(diagram.names) != names:
             raise ValueError("export generators do not match the diagram")
-        field = algebra.field_for_lcm(payload["field"]["L"])
+        field = algebra.field_for(diagram)
+        if payload["field"]["L"] != field.L:
+            raise ValueError(
+                f"export field has L = {payload['field']['L']}, "
+                f"but the diagram's field has L = {field.L}"
+            )
         if list(field.minpoly) != payload["field"]["minpoly"]:
             raise ValueError("minimal polynomial mismatch in automaton export")
         n = len(names)

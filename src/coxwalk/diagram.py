@@ -247,7 +247,9 @@ def classify(d):
     rank >= 3 with a label >= 7: by Coxeter's classification (Humphreys,
     Reflection Groups and Coxeter Groups, 2.7 and 4.7) connected finite and
     affine diagrams of rank >= 3 have labels <= 6.  Skipping the Gram matrix
-    there avoids fields of huge degree (labels 7, 11, 13 need degree 720).
+    there avoids fields of huge degree: the field's L is the lcm of the
+    finite labels >= 4 (1 if there is none), so labels 7, 11, 13 give
+    L = 1001 and degree 360.
     """
     if d.rank == 0:
         raise DiagramError("cannot classify the rank-0 diagram")

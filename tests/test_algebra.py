@@ -50,13 +50,13 @@ def test_minpoly_degree_and_root():
 def test_field_for_uses_label_lcm():
     d = parse_diagram("a b c; a-b b-c")  # labels {3, 2}
     f = algebra.field_for(d)
-    assert f.L == 6 and f.degree == 2
+    assert f.L == 1 and f.degree == 1
     d = parse_diagram("s t u v w; s-t:5 t-u u-v v-w")
-    assert algebra.field_for(d).L == 30
-    assert algebra.field_for(d).degree == 8
+    assert algebra.field_for(d).L == 5
+    assert algebra.field_for(d).degree == 2
     d = parse_diagram("a b")  # all labels 2
     f = algebra.field_for(d)
-    assert f.L == 2 and f.degree == 1
+    assert f.L == 1 and f.degree == 1
 
 
 def test_generator_satisfies_golden_identity():
@@ -127,7 +127,7 @@ def test_scalar_coercions_and_float():
 def test_form_values():
     d = parse_diagram("a b c d; a-b:3 b-c:4 c-d:5")
     f = algebra.field_for(d)
-    assert f.L == 60
+    assert f.L == 20
     assert algebra.form_value(d, 0, 0, f) == f.one
     assert algebra.form_value(d, 0, 2, f).is_zero()  # m = 2
     assert algebra.form_value(d, 0, 1, f) == Fraction(-1, 2)  # m = 3
@@ -140,6 +140,13 @@ def test_form_values():
     # 2*(-x) is the golden ratio 2cos(pi/5)
     z = (-x5) + (-x5)
     assert (z * z - z - 1).is_zero()
+
+
+def test_form_value_label_must_divide_L():
+    # Q(2cos(pi/5)) holds no cos(pi/4); L // 4 would silently read cos(pi/5)
+    d = parse_diagram("a b; a-b:4")
+    with pytest.raises(ValueError, match="label 4 does not divide the field's L = 5"):
+        algebra.form_value(d, 0, 1, field_for_lcm(5))
 
 
 def test_form_value_infinite_label():
@@ -190,7 +197,7 @@ def test_mixed_field_operations_rejected():
 def test_field_degree_cap():
     assert algebra.CapExceededError is CapExceededError
     assert field_for_lcm(60).degree == 16 <= algebra.MAX_FIELD_DEGREE
-    # labels 7, 11 and 13 give L = 2002 and degree phi(4004)/2 = 720
+    # L = 2002 gives degree phi(4004)/2 = 720
     with pytest.raises(CapExceededError) as exc:
         field_for_lcm(2002)
     assert exc.value.info == {"cap": algebra.MAX_FIELD_DEGREE, "degree": 720}

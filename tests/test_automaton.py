@@ -244,6 +244,12 @@ def _corrupt(d, change):
             lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", id="roots-repeated"
         ),
         pytest.param(lambda p: p["transitions"][0].update(z=1), "unknown generator", id="unknown-label"),
+        # an export over Q(2cos(pi/12)), the lcm of all of triangle_334's labels
+        pytest.param(
+            lambda p: p.update(field={"L": 12, "minpoly": [1, 0, -4, 0, 1]}),
+            "L = 12, but the diagram's field has L = 4",
+            id="other-field",
+        ),
     ],
 )
 def test_from_json_rejects(change, message):

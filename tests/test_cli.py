@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxwalk.antichain import FAMILY_CAP
 from coxwalk.automaton import ReducedWordAutomaton, build
 from coxwalk.cli import main
 from coxwalk.diagram import parse_diagram
@@ -56,7 +57,7 @@ def test_classify_components(capsys, tmp_path):
 
 
 def test_classify_large_labels_skips_gram(capsys, tmp_path):
-    # labels 7, 11, 13 would need a degree-720 field for the Gram matrix
+    # labels 7, 11, 13 would need a degree-360 field for the Gram matrix
     f = tmp_path / "path_7_11_13.cox"
     f.write_text("s t u v\ns-t:7 t-u:11 u-v:13\n")
     t0 = time.perf_counter()
@@ -99,7 +100,7 @@ def test_bad_integer_flag(capsys, argv):
 
 
 def test_compare_field_degree_cap(capsys, tmp_path):
-    # labels 7, 11, 13 need a field of degree 720
+    # labels 7, 11, 13 need a field of degree 360
     f = tmp_path / "path_7_11_13.cox"
     f.write_text("s t u v\ns-t:7 t-u:11 u-v:13\n")
     t0 = time.perf_counter()
@@ -228,6 +229,32 @@ def test_antichain_case_vi_automaton_cycle(capsys):
     assert code == 0
     assert "method: AutomatonCycle" in out
     assert "family size: 2" in out
+
+
+@pytest.mark.parametrize("size", [FAMILY_CAP + 1, 100000])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("antichain", "triangle_334", "--kmax"),
+        ("antichain", "case_vi", "--kmax"),
+        ("goodpair", "case_v", "uvtut", "utvsut", "--kmax"),
+        ("antichain", "universal_rank3", "--n"),
+    ],
+    ids=["antichain-kmax", "antichain-case-vi-kmax", "goodpair-kmax", "antichain-n"],
+)
+def test_antichain_family_cap(capsys, argv, size):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, argv[0], fixture(argv[1]), *argv[2:], str(size))
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert err.startswith("error: ")
+    assert f"{size} is above the antichain family cap of {FAMILY_CAP}" in err
+
+
+def test_antichain_family_at_cap(capsys):
+    code, out, _ = run(capsys, "antichain", fixture("universal_rank3"), "--n", str(FAMILY_CAP))
+    assert code == 0
+    assert f"family size: {FAMILY_CAP}" in out
 
 
 def test_affine_embed(capsys):

@@ -5,10 +5,12 @@ quantities, and the text and JSON forms read back equal."""
 
 import functools
 import itertools
+import math
 import operator
 from datetime import timedelta
 from importlib import resources
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,45 @@ FIXTURES = sorted(p.name for p in FIXTURE_DIR.iterdir() if p.name.endswith(".cox
 @pytest.mark.parametrize("name", FIXTURES)
 def test_definiteness_matches_principal_minors_on_fixtures(name):
     _check_definiteness(parse_diagram(FIXTURE_DIR.joinpath(name).read_text()))
+
+
+def _lcm_of_all_labels_field(d):
+    """Q(2cos(pi/L)) with L the lcm of 2 and every finite label: it holds
+    every form value too, in a larger degree than field_for's."""
+    finite = (int(m) for row in d.labels for m in row if m != INF)
+    return algebra.field_for_lcm(math.lcm(2, *finite))
+
+
+def _check_form_value_numerically(d, field):
+    with mpmath.workdps(60):
+        c = 2 * mpmath.cos(mpmath.pi / field.L)
+        for i, j in itertools.combinations(range(d.rank), 2):
+            m = d.label(i, j)
+            expected = -1 if m == INF else -mpmath.cos(mpmath.pi / m)
+            value = algebra.form_value(d, i, j, field)
+            got = sum(mpmath.mpf(n) * c**k for k, n in enumerate(value.nums)) / value.den
+            assert abs(got - expected) < mpmath.mpf(10) ** -40, (m, field)
+
+
+def _check_minimal_field(d):
+    minimal, wide = algebra.field_for(d), _lcm_of_all_labels_field(d)
+    assert minimal.degree <= wide.degree
+    assert algebra.definiteness(algebra.gram(d, minimal)) == algebra.definiteness(
+        algebra.gram(d, wide)
+    )
+    _check_form_value_numerically(d, minimal)
+    _check_form_value_numerically(d, wide)
+
+
+@SETTINGS
+@given(diagrams(max_rank=5))
+def test_minimal_field_agrees_with_lcm_of_all_labels(d):
+    _check_minimal_field(d)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_minimal_field_agrees_with_lcm_of_all_labels_on_fixtures(name):
+    _check_minimal_field(parse_diagram(FIXTURE_DIR.joinpath(name).read_text()))
 
 
 @SETTINGS
