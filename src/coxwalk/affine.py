@@ -22,6 +22,11 @@ INF = math.inf
 
 SUPPORTED_TYPES = ("A1", "A2", "A3", "A4", "B3", "C2", "G2")
 
+# Largest ball embedding_check accepts.  The check compares every ordered
+# pair, so its cost grows with the square of the ball: 235 elements (affine
+# A2, radius 12) already take seconds.  The in-repo checks use at most 64.
+EMBEDDING_BALL_CAP = 256
+
 EXPECTED_POSITIVE_COUNTS = {
     "A1": 1,
     "A2": 3,
@@ -42,6 +47,7 @@ __all__ = [
     "recognize_affine",
     "alcove_coords",
     "embedding_check",
+    "EMBEDDING_BALL_CAP",
     "EmbeddingReport",
     "SUPPORTED_TYPES",
 ]
@@ -366,10 +372,11 @@ class EmbeddingReport:
 def embedding_check(d, radius):
     """Exhaustive bidirectional check on a ball: weak order v <= w iff the
     alcove vectors compare componentwise, and length equals the sum of
-    absolute alcove coordinates."""
+    absolute alcove coordinates.  A ball of more than EMBEDDING_BALL_CAP
+    elements raises CapExceededError."""
     datum, mapping = recognize_affine(d)
     group = element_mod.group_for(d)
-    ball = group.ball(radius)
+    ball = group.ball(radius, cap=EMBEDDING_BALL_CAP)
     words = [el.shortlex_nf() for el in ball.elements]
     vectors = [
         alcove_coords(datum, tuple(mapping[s] for s in word)) for word in words

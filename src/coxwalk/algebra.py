@@ -364,6 +364,10 @@ class AlgReal:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # over denominator 1 the result is already canonical and needs no
+        # gcd pass; every entry of the geometric representation lies in Z[c]
+        if self.den == 1 and other.den == 1:
+            return AlgReal(self.field, tuple([x + y for x, y in zip(self.nums, other.nums)]), 1)
         g = math.gcd(self.den, other.den)
         sa = other.den // g
         sb = self.den // g
@@ -377,6 +381,8 @@ class AlgReal:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == 1 and other.den == 1:
+            return AlgReal(self.field, tuple([x - y for x, y in zip(self.nums, other.nums)]), 1)
         g = math.gcd(self.den, other.den)
         sa = other.den // g
         sb = self.den // g

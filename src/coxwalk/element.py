@@ -5,7 +5,12 @@ the same for the inverse), with exact field entries.  The representation is
 faithful, so matrix equality decides group equality and descent sets fall
 out of root signs.  Lengths are tracked along generator products, since
 l(ws) = l(w) + 1 exactly when w(alpha_s) is positive; after a general matrix
-product they come from a ShortLex normal-form walk.  Balls,
+product they come from a ShortLex normal-form walk.  Right generator steps
+(`right_mul_gen` and the elements of a ball) build the inverse on first
+read: until then the child holds its parent and the generator, and the
+first read fills in every pending ancestor.  Lengths and right descents
+need the columns only, and `is_reduced` decides whether a word is reduced
+from the columns of its prefixes alone.  Balls,
 reduced-expression enumeration, braid closures and minimal coset
 representatives are all built on top of that engine, with size caps that
 turn non-termination on infinite groups into clean errors.
@@ -192,20 +197,39 @@ class CoxeterGroup:
     def generator(self, s):
         return self._identity.right_mul_gen(s)
 
+    def _check_word(self, word):
+        for s in word:
+            if not 0 <= s < self.n:
+                raise IndexError(f"generator index {s} out of range")
+
     def element_of(self, word):
         """Product of generators in word order (leftmost applied first)."""
+        self._check_word(word)
         cols = self._id_cols
         icols = self._id_cols
         length = 0
         for s in word:
-            if not 0 <= s < self.n:
-                raise IndexError(f"generator index {s} out of range")
             length += _root_vec_sign(cols[s])
             cols = self._rmul_gen(cols, s)
             icols = self._lmul_gen(icols, s)
         el = GroupElement(self, cols, icols)
         el._len = length
         return el
+
+    def is_reduced(self, word):
+        """Whether word is a reduced expression: each letter s must lengthen
+        the prefix w before it, that is, w(alpha_s) must be positive.  Builds
+        the columns of the prefixes only, and stops at the first letter that
+        shortens."""
+        self._check_word(word)
+        cols = self._id_cols
+        last = len(word) - 1
+        for i, s in enumerate(word):
+            if _root_vec_sign(cols[s]) < 0:
+                return False
+            if i < last:
+                cols = self._rmul_gen(cols, s)
+        return True
 
     def ball(self, radius, cap=DEFAULT_BALL_CAP):
         """All elements of length <= radius, with counts per length (BFS)."""
@@ -228,7 +252,7 @@ class CoxeterGroup:
                             cap=cap,
                             radius=k,
                         )
-                    cand = GroupElement(self, cols, self._lmul_gen(el.icols, s))
+                    cand = el._child(cols, s)
                     cand._len = k
                     seen[cols] = cand
                     new.append(cand)
@@ -312,9 +336,7 @@ class CoxeterGroup:
         NonReducedWordError.
         """
         word = tuple(word)
-        for s in word:
-            if not 0 <= s < self.n:
-                raise IndexError(f"generator index {s} out of range")
+        self._check_word(word)
         seen = {word}
         queue = [word]
         labels = self.diagram.labels
@@ -373,14 +395,20 @@ class CoxeterGroup:
 
 
 class GroupElement:
-    """Immutable group element; equality and hashing via the exact matrix."""
+    """Immutable group element; equality and hashing via the exact matrix.
 
-    __slots__ = ("group", "cols", "icols", "_len", "_nf", "_hash", "_rdes")
+    `cols` is the matrix of w and `icols` that of w^-1.  An element made by
+    a right generator step stores `_pending = (parent, s)` in place of its
+    inverse until `icols` is first read.
+    """
+
+    __slots__ = ("group", "cols", "_icols", "_pending", "_len", "_nf", "_hash", "_rdes")
 
     def __init__(self, group, cols, icols):
         self.group = group
         self.cols = cols
-        self.icols = icols
+        self._icols = icols
+        self._pending = None
         self._len = None
         self._nf = None
         self._hash = None
@@ -396,13 +424,39 @@ class GroupElement:
             self._hash = hash(self.cols)
         return self._hash
 
+    @property
+    def icols(self):
+        """Columns of the inverse.  (ws)^-1 = s w^-1, so a pending element
+        gets its inverse from its parent's by one row operation.  The chain
+        of pending ancestors is walked with a loop, and each of them keeps
+        its inverse and drops its parent, so every pending step is built
+        once."""
+        if self._icols is None:
+            chain = []
+            el = self
+            while el._icols is None:
+                chain.append(el)
+                el = el._pending[0]
+            icols = el._icols
+            lmul = self.group._lmul_gen
+            for el in reversed(chain):
+                icols = lmul(icols, el._pending[1])
+                el._icols = icols
+                el._pending = None
+        return self._icols
+
+    def _child(self, cols, s):
+        """The element w*s, given its columns; its inverse waits for a read."""
+        el = GroupElement(self.group, cols, None)
+        el._pending = (self, s)
+        return el
+
     def is_identity(self):
         return self.cols == self.group._id_cols
 
     def right_mul_gen(self, s):
         """w*s; its length is l(w) + 1 if w(alpha_s) is positive, else l(w) - 1."""
-        g = self.group
-        el = GroupElement(g, g._rmul_gen(self.cols, s), g._lmul_gen(self.icols, s))
+        el = self._child(self.group._rmul_gen(self.cols, s), s)
         if self._len is not None:
             el._len = self._len + _root_vec_sign(self.cols[s])
         return el

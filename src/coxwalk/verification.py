@@ -292,7 +292,7 @@ def _oracle_random(d, auto, max_len, samples, seed):
         k = rng.randint(0, max_len)
         word = tuple(rng.randrange(d.rank) for _ in range(k))
         accepted = auto.accepts(word)
-        reduced = group.element_of(word).length() == len(word)
+        reduced = group.is_reduced(word)
         if accepted != reduced:
             mismatches.append({"word": format_word(d, word)})
     return samples, mismatches

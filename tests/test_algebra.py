@@ -1,6 +1,7 @@
 """Exact field arithmetic: minimal polynomials, operations, signs, the form."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -102,6 +103,58 @@ def test_sign_matches_high_precision_floats():
         value = sum(Fraction(n, a.den) * c**i for i, n in enumerate(a.nums))
         expected = 0 if value == 0 else (1 if value > 0 else -1)
         assert a.sign() == expected
+
+
+def _assert_canonical(x):
+    assert isinstance(x.nums, tuple) and len(x.nums) == x.field.degree
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+
+
+@pytest.mark.parametrize("L,degree", [(1, 1), (5, 2), (20, 8)])
+def test_integer_add_sub_skip_normalize(L, degree, monkeypatch):
+    field = field_for_lcm(L)
+    assert field.degree == degree
+    rng = random.Random(7 * L)
+    normalized = [0]
+    normalize = algebra.K.normalize
+
+    def counted(nums, den):
+        normalized[0] += 1
+        return normalize(nums, den)
+
+    monkeypatch.setattr(algebra.K, "normalize", counted)
+    for _ in range(100):
+        a = field.element([rng.randint(-50, 50) for _ in range(degree)])
+        b = field.element([rng.randint(-50, 50) for _ in range(degree)])
+        b = a if rng.random() < 0.2 else b
+        assert a.den == b.den == 1
+        for op in (operator.add, operator.sub):
+            before = normalized[0]
+            got = op(a, b)
+            assert normalized[0] == before
+            _assert_canonical(got)
+            assert got.den == 1
+            assert got.to_fractions() == tuple(
+                op(x, y) for x, y in zip(a.to_fractions(), b.to_fractions())
+            )
+        zero = a - a
+        assert zero == field.zero and zero.den == 1
+        assert (a + (field.zero - a)) == field.zero
+
+    # an operand over a denominator > 1 still takes the gcd path
+    half = field.rational(Fraction(1, 2))
+    third = field.element([Fraction(1, 3)] * degree)
+    for a, b in ((half, field.one), (field.one, third), (half, third), (half, half)):
+        for op in (operator.add, operator.sub):
+            before = normalized[0]
+            got = op(a, b)
+            assert normalized[0] == before + 1
+            _assert_canonical(got)
+            assert got.to_fractions() == tuple(
+                op(x, y) for x, y in zip(a.to_fractions(), b.to_fractions())
+            )
+    assert (half - half) == field.zero
 
 
 def test_equality_iff_difference_sign_zero():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxwalk.affine import EMBEDDING_BALL_CAP
 from coxwalk.antichain import FAMILY_CAP
 from coxwalk.automaton import ReducedWordAutomaton, build
 from coxwalk.cli import main
@@ -261,6 +262,18 @@ def test_affine_embed(capsys):
     code, out, _ = run(capsys, "affine-embed", fixture("affine_c2"), "--radius", "3")
     assert code == 0
     assert "order violations: 0" in out
+
+
+@pytest.mark.parametrize("radius", [20, 60])
+def test_affine_embed_ball_cap(capsys, radius):
+    # affine A2 has 235 elements of length <= 12, and the pairwise check
+    # grows with the square of that
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "affine-embed", fixture("affine_a2"), "--radius", str(radius))
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"cap of {EMBEDDING_BALL_CAP}" in err
 
 
 def test_affine_embed_unsupported(capsys, tmp_path):

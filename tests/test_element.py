@@ -42,8 +42,24 @@ def test_braid_relation_dihedral():
 
 def test_word_index_range():
     g = group_for(A3)
-    with pytest.raises(IndexError):
-        g.element_of((3,))
+    for word in ((3,), (0, 0, 3), (-1,)):
+        with pytest.raises(IndexError):
+            g.element_of(word)
+        # checked before the walk, which would stop at the nil move (0, 0)
+        with pytest.raises(IndexError):
+            g.is_reduced(word)
+
+
+def test_is_reduced():
+    g = group_for(T334)
+    assert g.is_reduced(())
+    assert g.is_reduced((0, 1, 0, 2))
+    assert not g.is_reduced((0, 0))
+    # a-b has label 3, so a b a b = b a; a-c has label 4, so a c a c is the
+    # longest element of that parabolic and a c a c a is not reduced
+    assert not g.is_reduced((0, 1, 0, 1))
+    assert g.is_reduced((0, 2, 0, 2))
+    assert not g.is_reduced((0, 2, 0, 2, 0))
 
 
 def test_descents_basic():
@@ -291,3 +307,35 @@ def test_parse_and_format_words():
     assert format_word(CASE_VI, ()) == "e"
     with pytest.raises(Exception):
         parse_word(CASE_VI, "s q")
+
+
+def test_lazy_inverse_of_long_chain():
+    """Reading the inverse at the end of a long right_mul_gen chain walks its
+    pending ancestors with a loop, not one stack frame each."""
+    g = group_for(I2INF)
+    word = tuple(i % 2 for i in range(3000))
+    el = g.identity
+    for s in word:
+        el = el.right_mul_gen(s)
+    assert el.icols == g.element_of(word).icols
+    assert el.length() == 3000
+
+
+def test_forcing_a_ball_builds_each_inverse_once(monkeypatch):
+    g = group_for(T334)
+    ball = g.ball(5)
+    calls = [0]
+    lmul = g._lmul_gen
+
+    def counted(cols, s):
+        calls[0] += 1
+        return lmul(cols, s)
+
+    monkeypatch.setattr(g, "_lmul_gen", counted)
+    for el in reversed(ball.elements):
+        el.icols
+    for el in ball.elements:
+        el.icols
+    assert calls[0] == len(ball) - 1
+    # a forced element no longer holds its parent
+    assert all(el._pending is None for el in ball.elements)

@@ -87,6 +87,8 @@ def test_tracked_length_matches_normal_form(case):
         left = left.left_mul_gen(s)
     assert right == left == el
     assert right.length() == left.length() == el.length()
+    # right_mul_gen builds the inverse on first read, element_of eagerly
+    assert right.icols == el.icols
 
 
 @SETTINGS
@@ -222,6 +224,16 @@ def test_automaton_accepts_exactly_reduced_words(case):
     d, word = case
     reduced = group_for(d).element_of(word).length() == len(word)
     assert automaton_for(d).accepts(word) == reduced
+    assert group_for(d).is_reduced(word) == reduced
+
+
+@SETTINGS
+@given(diagrams(), st.integers(0, 3))
+def test_ball_inverses_match_element_of(d, radius):
+    """Ball elements build their inverses on first read."""
+    g = group_for(d)
+    for el in g.ball(radius).elements:
+        assert el.icols == g.element_of(el.shortlex_nf()).icols
 
 
 @SETTINGS
