@@ -1,17 +1,15 @@
 """Arithmetic kernels.
 
-These are the hot inner loops of the exact field arithmetic: polynomial
-multiplication modulo a monic integer minimal polynomial, rational dot
-products, and certified sign evaluation over dyadic intervals.  They
+These are the hot inner loops of the exact arithmetic in Z[c]: polynomial
+multiplication modulo a monic integer minimal polynomial, dot products of
+ring elements, and certified sign evaluation over dyadic intervals.  They
 operate on plain Python integers, so every result is exact.
 
-Conventions: polynomials are little-endian coefficient sequences.  A field
-element is a pair (nums, den): integer numerators in the power basis and a
-positive common denominator.  `mp_low` holds the low d coefficients of the
-monic minimal polynomial x^d + mp_low[d-1] x^(d-1) + ... + mp_low[0].
+Conventions: polynomials are little-endian coefficient sequences.  A ring
+element is its tuple of integer coefficients in the power basis.  `mp_low`
+holds the low d coefficients of the monic minimal polynomial
+x^d + mp_low[d-1] x^(d-1) + ... + mp_low[0].
 """
-
-from math import gcd
 
 BACKEND = "pure"
 
@@ -39,40 +37,17 @@ def poly_mul_mod(a, b, mp_low):
     return r
 
 
-def normalize(nums, den):
-    """Divide out gcd(nums, den); den stays positive.  Returns (tuple, int)."""
-    g = den
-    for x in nums:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return tuple(nums), den
-    if g > 1:
-        return tuple(x // g for x in nums), den // g
-    return tuple(nums), den
+def dot_mod(anums, bnums, mp_low):
+    """Sum of the products a_k * b_k of ring elements, as a tuple.
 
-
-def dot_mod(anums, adens, bnums, bdens, mp_low):
-    """Normalized sum of products a_k * b_k of field elements.
-
-    anums/bnums are sequences of numerator vectors, adens/bdens the
-    matching denominators.  Used for exact matrix products.
+    anums/bnums are sequences of coefficient vectors.  Used for exact
+    matrix products.
     """
-    d = len(mp_low)
-    acc = [0] * d
-    acc_den = 1
-    for k in range(len(anums)):
-        tn = poly_mul_mod(anums[k], bnums[k], mp_low)
-        if not any(tn):
-            continue
-        td = adens[k] * bdens[k]
-        g = gcd(acc_den, td)
-        sa = td // g
-        st = acc_den // g
-        for i in range(d):
-            acc[i] = acc[i] * sa + tn[i] * st
-        acc_den *= sa
-    return normalize(acc, acc_den)
+    acc = [0] * len(mp_low)
+    for a, b in zip(anums, bnums):
+        for i, x in enumerate(poly_mul_mod(a, b, mp_low)):
+            acc[i] += x
+    return tuple(acc)
 
 
 def interval_sign(nums, lo, hi, shift):

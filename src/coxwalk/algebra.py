@@ -1,21 +1,21 @@
-"""Exact arithmetic in the real cyclotomic field Q(c), c = 2cos(pi/L).
+"""Exact arithmetic in the ring Z[c] of the real cyclotomic field Q(c),
+c = 2cos(pi/L).
 
 A Coxeter diagram's field takes L to be the lcm of its finite labels >= 4
-(1 if there is none): cos(pi/2) = 0 and cos(pi/3) = 1/2 are rational, so
-labels 2 and 3 need no extension.  Every other bilinear-form value
--cos(pi/m) lies in Q(c): cos(pi/m) = T_{L/m}(c/2) with T_k the degree-k
-Chebyshev polynomial.  Since c is an algebraic integer, its minimal
-polynomial is monic with integer coefficients, so elements of Q(c) are
-integer numerator vectors in the power basis 1, c, ..., c^(d-1) over a
-positive common denominator.  Equality is decidable by coefficient
-comparison; signs are decided by exact interval arithmetic over dyadic
-rationals, refining an isolating interval for c by bisection until zero is
-excluded.
+(1 if there is none): 2cos(pi/2) = 0 and 2cos(pi/3) = 1 are integers, so
+labels 2 and 3 need no extension.  Every other doubled form value
+-2cos(pi/m) lies in Z[c]: 2cos(pi/m) = D_{L/m}(c) with D_k the monic
+integer Dickson polynomial 2*T_k(x/2).  Since c is an algebraic integer, its
+minimal polynomial is monic with integer coefficients, so the doubled form,
+every matrix of the geometric representation and every root have integer
+coefficient vectors in the power basis 1, c, ..., c^(d-1).  Equality is
+decidable by coefficient comparison; signs are decided by exact interval
+arithmetic over dyadic rationals, refining an isolating interval for c by
+bisection until zero is excluded.
 """
 
 import functools
 import math
-from fractions import Fraction
 
 from . import _kernel as K
 
@@ -189,7 +189,8 @@ def _refine_interval(mp, lo, hi, shift, steps):
 
 
 class FieldSpec:
-    """The real cyclotomic field Q(2cos(pi/L)).
+    """The real cyclotomic field Q(2cos(pi/L)), whose elements here all lie
+    in its ring Z[2cos(pi/L)].
 
     Carries the minimal polynomial (monic, integer, little-endian including
     the leading 1), the degree, and an isolating dyadic interval for the
@@ -220,16 +221,14 @@ class FieldSpec:
             lo / scale - 1e-9 <= approx <= hi / scale + 1e-9
         ):
             raise ArithmeticError("isolating interval does not contain 2cos(pi/L)")
-        self._zero = AlgReal(self, (0,) * d, 1)
-        one = [0] * d
-        one[0] = 1
-        self._one = AlgReal(self, tuple(one), 1)
+        self._zero = self.integer(0)
+        self._one = self.integer(1)
         if d >= 2:
             g = [0] * d
             g[1] = 1
-            self._gen = AlgReal(self, tuple(g), 1)
+            self._gen = AlgReal(self, tuple(g))
         else:
-            self._gen = AlgReal(self, (-mp[0],), 1)
+            self._gen = self.integer(-mp[0])
 
     def _isolate(self, approx):
         if self.degree == 1:
@@ -268,24 +267,17 @@ class FieldSpec:
         return self._gen
 
     def element(self, coeffs):
-        """Element from rational coefficients in the power basis."""
+        """Element from integer coefficients in the power basis."""
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
-        coeffs += [0] * (self.degree - len(coeffs))
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
-        nums = [int(f * den) for f in fracs]
-        nums, den = K.normalize(nums, den)
-        return AlgReal(self, nums, den)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise ValueError(f"coefficients {coeffs!r} are not all integers")
+        return AlgReal(self, tuple(coeffs) + (0,) * (self.degree - len(coeffs)))
 
-    def rational(self, value):
-        """Embed a rational number."""
-        f = Fraction(value)
-        nums = [0] * self.degree
-        nums[0] = f.numerator
-        nums, den = K.normalize(nums, f.denominator)
-        return AlgReal(self, nums, den)
+    def integer(self, n):
+        """Embed an integer."""
+        return AlgReal(self, (n,) + (0,) * (self.degree - 1))
 
     def __repr__(self):
         return f"FieldSpec(L={self.L}, degree={self.degree})"
@@ -322,7 +314,7 @@ def field_for_lcm(L):
 
 def field_for(diagram):
     """Field housing all form values of the diagram: L = lcm of the finite
-    labels >= 4 (1 if there is none), since labels 2 and 3 give rational
+    labels >= 4 (1 if there is none), since labels 2 and 3 give integer
     form values."""
     L = 1
     for i in range(diagram.rank):
@@ -334,46 +326,35 @@ def field_for(diagram):
 
 
 class AlgReal:
-    """An element of a FieldSpec: integer numerators over a common denominator.
+    """An element of Z[c] inside a FieldSpec: its integer coefficient vector.
 
-    The representation is canonical (reduced modulo the minimal polynomial,
-    gcd-normalized, positive denominator), so equality and hashing are
-    structural and zero is the all-zero vector.  The constructor stores the
-    pair it is given, which must already be canonical: a tuple of `degree`
-    integers as returned by `_kernel.normalize`, and its denominator.
-    There is no division and no ordering operator; `sign()` decides order.
+    The representation is canonical (a tuple of `degree` integers, reduced
+    modulo the minimal polynomial), so equality and hashing are structural
+    and zero is the all-zero vector.  The constructor stores the tuple it is
+    given.  Operands are elements of the same field or ints; there is no
+    division and no ordering operator; `sign()` decides order.
     """
 
-    __slots__ = ("field", "nums", "den")
+    __slots__ = ("field", "nums")
 
-    def __init__(self, field, nums, den):
+    def __init__(self, field, nums):
         self.field = field
         self.nums = nums
-        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, AlgReal):
             if other.field is not self.field:
                 raise ValueError("operands live in different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
+        if isinstance(other, int):
+            return self.field.integer(other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # over denominator 1 the result is already canonical and needs no
-        # gcd pass; every entry of the geometric representation lies in Z[c]
-        if self.den == 1 and other.den == 1:
-            return AlgReal(self.field, tuple([x + y for x, y in zip(self.nums, other.nums)]), 1)
-        g = math.gcd(self.den, other.den)
-        sa = other.den // g
-        sb = self.den // g
-        nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
-        nums, den = K.normalize(nums, self.den * sa)
-        return AlgReal(self.field, nums, den)
+        return AlgReal(self.field, tuple([x + y for x, y in zip(self.nums, other.nums)]))
 
     __radd__ = __add__
 
@@ -381,25 +362,16 @@ class AlgReal:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return AlgReal(self.field, tuple([x - y for x, y in zip(self.nums, other.nums)]), 1)
-        g = math.gcd(self.den, other.den)
-        sa = other.den // g
-        sb = self.den // g
-        nums = [x * sa - y * sb for x, y in zip(self.nums, other.nums)]
-        nums, den = K.normalize(nums, self.den * sa)
-        return AlgReal(self.field, nums, den)
+        return AlgReal(self.field, tuple([x - y for x, y in zip(self.nums, other.nums)]))
 
     def __neg__(self):
-        return AlgReal(self.field, tuple([-x for x in self.nums]), self.den)
+        return AlgReal(self.field, tuple([-x for x in self.nums]))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        nums = K.poly_mul_mod(self.nums, other.nums, self.field._mp_low)
-        nums, den = K.normalize(nums, self.den * other.den)
-        return AlgReal(self.field, nums, den)
+        return AlgReal(self.field, tuple(K.poly_mul_mod(self.nums, other.nums, self.field._mp_low)))
 
     __rmul__ = __mul__
 
@@ -426,57 +398,53 @@ class AlgReal:
 
     def __eq__(self, other):
         if isinstance(other, AlgReal):
-            return (
-                self.field is other.field
-                and self.den == other.den
-                and self.nums == other.nums
-            )
-        if isinstance(other, (int, Fraction)):
-            return self == self.field.rational(other)
+            return self.field is other.field and self.nums == other.nums
+        if isinstance(other, int):
+            return self == self.field.integer(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def to_fractions(self):
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        return hash(self.nums)
 
     def __repr__(self):
-        fr = self.to_fractions()
-        return f"AlgReal({[str(f) for f in fr]}, L={self.field.L})"
+        return f"AlgReal({list(self.nums)}, L={self.field.L})"
 
 
 # ---------------------------------------------------------------------------
 # bilinear form of a diagram
 
 def form_value(diagram, i, j, field=None):
-    """-cos(pi/m(i,j)) as an exact field element; 1 on the diagonal, -1 for m = oo.
+    """The doubled form value 2(alpha_i|alpha_j) = -2cos(pi/m(i,j)) as an exact
+    element of Z[c]: 2 on the diagonal, 0 for m = 2, -1 for m = 3, -2 for
+    m = oo, and -D_{L/m}(c) otherwise.
 
     A finite label m >= 4 must divide field.L; otherwise ValueError.
     """
     if field is None:
         field = field_for(diagram)
     if i == j:
-        return field.one
+        return field.integer(2)
     m = diagram.label(i, j)
     if math.isinf(m):
-        return -field.one
+        return field.integer(-2)
     if m == 2:
         return field.zero
     if m == 3:
-        return field.rational(Fraction(-1, 2))
+        return field.integer(-1)
     k, rem = divmod(field.L, int(m))
     if rem:
         raise ValueError(f"label {m} does not divide the field's L = {field.L}")
     c = field.generator
     acc = field.zero
     for coeff in reversed(_dickson(k)):
-        acc = acc * c + coeff
-    return acc * Fraction(-1, 2)
+        acc = acc * c - coeff
+    return acc
 
 
 def gram(diagram, field=None):
-    """The Gram matrix of form values, as a tuple of row tuples."""
+    """The doubled Gram matrix 2(alpha_i|alpha_j), as a tuple of row tuples.
+    Doubling keeps the sign of every pivot, so `definiteness` reads it as it
+    would the form itself."""
     if field is None:
         field = field_for(diagram)
     n = diagram.rank

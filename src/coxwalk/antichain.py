@@ -16,13 +16,12 @@ is reduced and every pair is incomparable both ways.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 from . import automaton as automaton_mod
 from . import diagram as diagram_mod
 from .diagram import DiagramClass, classify, components, isomorphism, subdiagram
-from .element import CapExceededError, format_word, group_for
+from .element import CapExceededError, _braid_run, format_word, group_for
 
 __all__ = [
     "FAMILY_CAP",
@@ -273,13 +272,8 @@ def junction_braid_moves(group, exprs_a, exprs_b):
                 if s == t:
                     bad.append((ra, rb, p, "nil"))
                     continue
-                m = d.labels[s][t]
-                if math.isinf(m) or p + m > len(word):
-                    continue
-                m = int(m)
-                if p < cut < p + m and all(
-                    word[p + k] == (s if k % 2 == 0 else t) for k in range(m)
-                ):
+                m = _braid_run(d.labels, word, p)
+                if m and p < cut < p + m:
                     bad.append((ra, rb, p, f"braid m={m}"))
     return bad
 

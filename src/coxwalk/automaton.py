@@ -10,7 +10,7 @@ this is validated against the group engine rather than assumed.
 The build has two phases.  Phase 1 closes the simple roots under the
 admissible step; the closure is the finite set of elementary roots of
 Brink and Howlett (Math. Ann. 296, 1993), sorted once into a canonical
-order (lexicographic on the exact coefficient sequences) and tabulated as
+order (lexicographic on the integer coefficient vectors) and tabulated as
 step[s][root].  Phase 2 runs the state BFS with each state a Python int
 whose bit i marks root i, so state contents, exports and state indices are
 deterministic.
@@ -18,7 +18,7 @@ deterministic.
 
 import json
 import os
-from fractions import Fraction
+import re
 from functools import reduce
 from itertools import chain
 from operator import getitem, or_
@@ -54,12 +54,22 @@ def resolve_state_cap(cap=None):
     return DEFAULT_STATE_CAP
 
 
+# how to_json writes a coordinate: str() of an int
+_INT_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _root_key(vec):
-    return tuple((e.nums, e.den) for e in vec)
+    """Identity and canonical order of a root: its integer coefficient vectors."""
+    return tuple(e.nums for e in vec)
 
 
-def _root_sort_key(vec):
-    return tuple(e.to_fractions() for e in vec)
+def _coefficients(coord):
+    """A root coordinate as to_json writes it: a list of integer literals."""
+    if not isinstance(coord, list) or not all(
+        isinstance(c, str) and _INT_LITERAL.fullmatch(c) for c in coord
+    ):
+        raise ValueError(f"root coordinate {coord!r} is not a list of integer literals")
+    return [int(c) for c in coord]
 
 
 def _simple_roots(field, n):
@@ -139,12 +149,14 @@ class ReducedWordAutomaton:
     def state_contains_simple(self, sid, s):
         return bool(self.states[sid] >> self.simple_root_ids[s] & 1)
 
-    def count_reduced_words(self, k):
-        """Number of accepted words of length exactly k (words, not elements)."""
+    def reduced_word_counts(self, k):
+        """Numbers of accepted words of each length 0..k (words, not
+        elements), in one pass of the transfer matrix."""
         if k < 0:
             raise ValueError("length must be >= 0")
         cur = [0] * self.num_states
         cur[self.start] = 1
+        counts = [1]
         for _ in range(k):
             nxt = [0] * self.num_states
             for sid, ways in enumerate(cur):
@@ -152,13 +164,18 @@ class ReducedWordAutomaton:
                     for to in self.transitions[sid].values():
                         nxt[to] += ways
             cur = nxt
-        return sum(cur)
+            counts.append(sum(cur))
+        return counts
+
+    def count_reduced_words(self, k):
+        """Number of accepted words of length exactly k (words, not elements)."""
+        return self.reduced_word_counts(k)[-1]
 
     # -- serialization --------------------------------------------------------
 
     def canonical_form(self):
         if self._canon is None:
-            roots = tuple(_root_sort_key(vec) for vec in self.root_vectors)
+            roots = tuple(_root_key(vec) for vec in self.root_vectors)
             trans = tuple(tuple(sorted(t.items())) for t in self.transitions)
             self._canon = (
                 self.diagram.names,
@@ -190,7 +207,7 @@ class ReducedWordAutomaton:
             "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
             "start": self.start,
             "roots": [
-                [[str(f) for f in e.to_fractions()] for e in vec] for vec in self.root_vectors
+                [[str(x) for x in e.nums] for e in vec] for vec in self.root_vectors
             ],
             "states": [self._root_ids(state) for state in self.states],
             "transitions": [
@@ -237,16 +254,16 @@ class ReducedWordAutomaton:
         n = len(names)
 
         vectors = tuple(
-            tuple(field.element([Fraction(c) for c in coord]) for coord in root)
+            tuple(field.element(_coefficients(coord)) for coord in root)
             for root in payload["roots"]
         )
         if any(len(vec) != n for vec in vectors):
             raise ValueError(f"root table holds a vector whose length is not {n}")
-        keys = [_root_sort_key(vec) for vec in vectors]
+        keys = [_root_key(vec) for vec in vectors]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("root table is not strictly increasing in canonical order")
         index = {key: rid for rid, key in enumerate(keys)}
-        simple_ids = tuple(index.get(_root_sort_key(vec)) for vec in _simple_roots(field, n))
+        simple_ids = tuple(index.get(_root_key(vec)) for vec in _simple_roots(field, n))
         if None in simple_ids:
             raise ValueError("root table lacks a simple root")
 
@@ -309,15 +326,16 @@ def _root_table(diagram, field):
 
     Returns the root vectors in canonical order, the ids of the simple
     roots, and step[s][rid]: the id of sigma_s(beta) when
-    -1 < (beta|alpha_s) < 1, else -1.
+    -1 < (beta|alpha_s) < 1, else -1.  With the doubled form
+    y = 2(beta|alpha_s), the test is -2 < y < 2 and the image is
+    beta - y alpha_s.
     """
     gram = algebra.gram(diagram, field)
     n = diagram.rank
     mp = field._mp_low
-    one = field.one
+    two = field.integer(2)
     # the Gram matrix is symmetric, so its rows are its columns
-    gram_cols_nums = [[e.nums for e in row] for row in gram]
-    gram_cols_dens = [[e.den for e in row] for row in gram]
+    gram_cols = [[e.nums for e in row] for row in gram]
 
     vectors = _simple_roots(field, n)
     ids = {_root_key(vec): rid for rid, vec in enumerate(vectors)}
@@ -325,15 +343,13 @@ def _root_table(diagram, field):
     # vectors grows while it is walked: a breadth-first closure
     for beta in vectors:
         beta_nums = [e.nums for e in beta]
-        beta_dens = [e.den for e in beta]
         for s in range(n):
-            nums, den = K.dot_mod(beta_nums, beta_dens, gram_cols_nums[s], gram_cols_dens[s], mp)
-            x = AlgReal(field, nums, den)
-            if (one - x).sign() <= 0 or (one + x).sign() <= 0:
+            y = AlgReal(field, K.dot_mod(beta_nums, gram_cols[s], mp))
+            if (two - y).sign() <= 0 or (two + y).sign() <= 0:
                 raw_step[s].append(-1)
                 continue
             img = list(beta)
-            img[s] = beta[s] - (x + x)
+            img[s] = beta[s] - y
             img = tuple(img)
             if _root_vec_sign(img) != 1:
                 raise MixedSignRootError("reflected root is not positive")
@@ -344,7 +360,7 @@ def _root_table(diagram, field):
                 vectors.append(img)
             raw_step[s].append(rid)
 
-    order = sorted(range(len(vectors)), key=lambda r: _root_sort_key(vectors[r]))
+    order = sorted(range(len(vectors)), key=lambda r: _root_key(vectors[r]))
     new_id = [0] * len(vectors)
     for pos, rid in enumerate(order):
         new_id[rid] = pos

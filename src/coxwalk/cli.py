@@ -29,6 +29,13 @@ EXIT_FACT_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED = 3
 
+# Largest K that `automaton --count K` accepts.  The counts for lengths
+# 0..K take one transfer-matrix pass of K steps, each costing one big-integer
+# add per edge.  At the cap, fig1_path4_435 (1 020 edges) takes 0.2 s and the
+# largest built-in automaton (case_vi, 273 911 edges, counts of 370 digits)
+# about 75 s on a 2-vCPU VM.
+MAX_COUNT_LENGTH = 1000
+
 
 def _load_diagram(path):
     with open(path) as fh:
@@ -72,7 +79,7 @@ def cmd_automaton(args):
     }
     lines = [f"states: {auto.num_states}", f"edges: {auto.num_edges}"]
     if args.count is not None:
-        counts = [auto.count_reduced_words(k) for k in range(args.count + 1)]
+        counts = auto.reduced_word_counts(args.count)
         payload["reduced_word_counts"] = counts
         lines.append("reduced words by length: " + " ".join(map(str, counts)))
     if args.export:
@@ -226,8 +233,9 @@ def cmd_verify_paper(args):
     return EXIT_OK if payload["failed"] == 0 else EXIT_FACT_FAILURE
 
 
-def _int_at_least(low):
-    """argparse type for integers >= low; argparse names the flag on error."""
+def _int_at_least(low, high=None):
+    """argparse type for integers >= low (and <= high when given); argparse
+    names the flag on error."""
 
     def parse(text):
         try:
@@ -236,6 +244,8 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -258,7 +268,12 @@ def build_parser():
     # stdout carries either the export or the counts, never both
     out = p.add_mutually_exclusive_group()
     out.add_argument("--export", choices=("dot", "json"))
-    out.add_argument("--count", type=_int_at_least(0), metavar="K", help="print reduced-word counts for lengths <= K")
+    out.add_argument(
+        "--count",
+        type=_int_at_least(0, MAX_COUNT_LENGTH),
+        metavar="K",
+        help=f"print reduced-word counts for lengths <= K (at most {MAX_COUNT_LENGTH})",
+    )
     p.add_argument("--cap", type=_int_at_least(1), help="state cap (default from COXWALK_STATE_CAP)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_automaton)

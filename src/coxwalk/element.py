@@ -71,6 +71,20 @@ def _root_vec_sign(vec):
     raise MixedSignRootError("root image is the zero vector")
 
 
+def _braid_run(labels, word, p):
+    """m when word[p:p + m] is the alternating run s t s ... of length
+    m = m(s, t), for s = word[p] and t = word[p + 1] distinct with a finite
+    label; else 0.  Such a run admits a braid move."""
+    s, t = word[p], word[p + 1]
+    m = labels[s][t]
+    if math.isinf(m) or p + m > len(word):
+        return 0
+    m = int(m)
+    if all(word[p + k] == (s if k % 2 == 0 else t) for k in range(m)):
+        return m
+    return 0
+
+
 class CoxeterGroup:
     """Shared context for one diagram: field, form, generator actions."""
 
@@ -80,9 +94,9 @@ class CoxeterGroup:
         self.field = algebra.field_for(diagram)
         gram = algebra.gram(diagram, self.field)
         # sparse generator data: for s, the non-commuting columns j with the
-        # exact coefficient -2*(alpha_s | alpha_j); None marks the coefficient
-        # 1 of a label 3, which needs an add and no multiply
-        minus_two = self.field.rational(-2)
+        # exact coefficient -2*(alpha_s | alpha_j), which is minus the doubled
+        # Gram entry; None marks the coefficient 1 of a label 3, which needs
+        # an add and no multiply
         zero, one = self.field.zero, self.field.one
         self._nbr = []
         for s in range(self.n):
@@ -90,9 +104,8 @@ class CoxeterGroup:
             for j in range(self.n):
                 if j == s:
                     continue
-                g = gram[s][j]
-                if not g.is_zero():
-                    coeff = minus_two * g
+                coeff = -gram[s][j]
+                if not coeff.is_zero():
                     row.append((j, None if coeff == one else coeff))
             self._nbr.append(tuple(row))
         self._id_cols = tuple(
@@ -154,17 +167,11 @@ class CoxeterGroup:
         n = self.n
         mp = self.field._mp_low
         field = self.field
-        rows_nums = [[a[k][i].nums for k in range(n)] for i in range(n)]
-        rows_dens = [[a[k][i].den for k in range(n)] for i in range(n)]
+        rows = [[a[k][i].nums for k in range(n)] for i in range(n)]
         out = []
         for j in range(n):
             bn = [e.nums for e in b[j]]
-            bd = [e.den for e in b[j]]
-            col = []
-            for i in range(n):
-                nums, den = K.dot_mod(rows_nums[i], rows_dens[i], bn, bd, mp)
-                col.append(AlgReal(field, nums, den))
-            out.append(tuple(col))
+            out.append(tuple(AlgReal(field, K.dot_mod(rows[i], bn, mp)) for i in range(n)))
         return tuple(out)
 
     def _walk(self, icols, limit):
@@ -348,11 +355,8 @@ class CoxeterGroup:
                     raise NonReducedWordError(
                         f"nil move applies at position {i}: word is not reduced"
                     )
-                m = labels[s][t]
-                if math.isinf(m) or i + m > len(cur):
-                    continue
-                m = int(m)
-                if all(cur[i + k] == (s if k % 2 == 0 else t) for k in range(m)):
+                m = _braid_run(labels, cur, i)
+                if m:
                     flip = tuple(t if k % 2 == 0 else s for k in range(m))
                     new = cur[:i] + flip + cur[i + m :]
                     if new not in seen:

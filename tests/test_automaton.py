@@ -1,5 +1,6 @@
 """Reduced-word automaton: construction, runs, counting, export."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -77,6 +78,17 @@ def test_count_reduced_words():
         assert auto.count_reduced_words(k) == 2
     a2auto = automaton.build(A2)
     assert [a2auto.count_reduced_words(k) for k in range(5)] == [1, 2, 2, 2, 0]
+    assert a2auto.reduced_word_counts(4) == [1, 2, 2, 2, 0]
+
+
+@pytest.mark.parametrize("d", [ATILDE2, T334, UNIVERSAL3])
+def test_reduced_word_counts_one_pass(d):
+    auto = automaton.build(d)
+    counts = auto.reduced_word_counts(8)
+    assert counts == [auto.count_reduced_words(k) for k in range(9)]
+    assert auto.reduced_word_counts(0) == [1]
+    with pytest.raises(ValueError):
+        auto.reduced_word_counts(-1)
 
 
 @pytest.mark.parametrize("d", [ATILDE2, T334])
@@ -224,6 +236,25 @@ def test_json_schema_v2():
     assert payload["transitions"][0] == {"a": 1, "b": 2}
 
 
+# Size and SHA-256 of the schema-v2 export of three fixtures.  Root
+# coordinates are written as decimal integers in the canonical root order, so
+# a change to the field layer's representation or to that order shows here.
+EXPORT_DIGESTS = {
+    "triangle_334": (784, "59c071472185b86b2086448bff28d37f302098be49cf1d698ad545efaea7bb39"),
+    "fig1_path4_435": (21015, "c5a29c15caa238173e86e110403f3bd00f2da82b4ff3a4e733aad2b96056ee0b"),
+    "case_v": (31088, "99cf793179503413dea25693b723dc0354973fd4877bdd36a583445b9720e2cc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_json_export_bytes_pinned(vctx, name):
+    text = automaton.build(vctx.fixture(name)).to_json()
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == EXPORT_DIGESTS[name]
+
+
+LITERALS = "not a list of integer literals"
+
+
 def _corrupt(d, change):
     payload = json.loads(automaton.build(d).to_json())
     change(payload)
@@ -244,6 +275,12 @@ def _corrupt(d, change):
             lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", id="roots-repeated"
         ),
         pytest.param(lambda p: p["transitions"][0].update(z=1), "unknown generator", id="unknown-label"),
+        # coefficients are integer literals: int() would truncate a float, and
+        # a bare string would be read digit by digit
+        pytest.param(lambda p: p["roots"][0][0].__setitem__(0, "1/2"), LITERALS, id="coord-fraction"),
+        pytest.param(lambda p: p["roots"][0][0].__setitem__(0, 1.5), LITERALS, id="coord-float"),
+        pytest.param(lambda p: p["roots"][0][0].__setitem__(0, True), LITERALS, id="coord-bool"),
+        pytest.param(lambda p: p["roots"][0].__setitem__(0, "10"), LITERALS, id="coord-string"),
         # an export over Q(2cos(pi/12)), the lcm of all of triangle_334's labels
         pytest.param(
             lambda p: p.update(field={"L": 12, "minpoly": [1, 0, -4, 0, 1]}),

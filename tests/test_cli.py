@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from coxwalk.affine import EMBEDDING_BALL_CAP
 from coxwalk.antichain import FAMILY_CAP
 from coxwalk.automaton import ReducedWordAutomaton, build
-from coxwalk.cli import main
+from coxwalk.cli import MAX_COUNT_LENGTH, main
 from coxwalk.diagram import parse_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "coxwalk" / "fixtures"
@@ -132,6 +132,24 @@ def test_automaton_counts(capsys):
     assert code == 0
     assert "states: 6" in out
     assert "1 2 2 2" in out
+
+
+def test_automaton_count_cap(capsys):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["automaton", fixture("i2inf"), "--count", str(MAX_COUNT_LENGTH + 1)])
+    assert time.perf_counter() - t0 < 5
+    assert exc.value.code == 2
+    assert f"argument --count: must be <= {MAX_COUNT_LENGTH}" in capsys.readouterr().err
+
+
+def test_automaton_count_at_cap_is_fast(capsys):
+    # all K + 1 counts come from one transfer-matrix pass of K steps
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "automaton", fixture("i2inf"), "--count", str(MAX_COUNT_LENGTH), "--json")
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert json.loads(out)["reduced_word_counts"] == [1] + [2] * MAX_COUNT_LENGTH
 
 
 def test_automaton_export_dot(capsys):

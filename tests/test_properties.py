@@ -187,13 +187,14 @@ def _lcm_of_all_labels_field(d):
 
 
 def _check_form_value_numerically(d, field):
+    """The doubled form value is -2cos(pi/m), and -2 for m = oo."""
     with mpmath.workdps(60):
         c = 2 * mpmath.cos(mpmath.pi / field.L)
         for i, j in itertools.combinations(range(d.rank), 2):
             m = d.label(i, j)
-            expected = -1 if m == INF else -mpmath.cos(mpmath.pi / m)
+            expected = -2 if m == INF else -2 * mpmath.cos(mpmath.pi / m)
             value = algebra.form_value(d, i, j, field)
-            got = sum(mpmath.mpf(n) * c**k for k, n in enumerate(value.nums)) / value.den
+            got = sum(mpmath.mpf(n) * c**k for k, n in enumerate(value.nums))
             assert abs(got - expected) < mpmath.mpf(10) ** -40, (m, field)
 
 
