@@ -1,19 +1,23 @@
-"""Affine Weyl groups realized by alcove geometry.
+"""Affine Weyl groups realized by an integer alcove walk.
 
-A supported finite root system is realized with exact rational ambient
-coordinates; the affine group is generated by the simple reflections plus
-the affine reflection in the hyperplane {<x, theta> = 1} through the
-highest root theta.  The alcove of a group element w is w applied to the
-fundamental alcove, encoded by the integer vector (n_w^alpha) over the
-positive roots: n_w^alpha = floor(<w p0, alpha>) for a rational interior
-point p0.  Mapped into the product of copies of the signed-magnitude order
-on the integers, this is checked to embed the weak order exactly.
+Each supported finite root system is one integer Gram matrix of its simple
+roots.  Roots, the highest root theta and the affine Coxeter labels are
+computed from it in simple-root coordinates with integer pairings.  The
+affine group is generated by the simple reflections plus s_0, the
+reflection in the hyperplane {<x, theta> = 1}.  The alcove of w = t_lam u
+(lam in the coroot lattice, u in the finite Weyl group) is encoded by the
+integer vector over the positive roots
+n_w(alpha) = <lam, alpha> - [u^-1 alpha < 0], the number of walls
+{<x, alpha> = k} between it and the fundamental alcove, signed by side.
+Mapped into the product of copies of the signed-magnitude order on the
+integers, this is checked to embed the weak order exactly.  The walk uses
+crystallographic integers only, never the 2cos(pi/m) field of the group
+engine, so the two engines check each other.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import element as element_mod
 from .diagram import CoxeterDiagram, DiagramClass, classify, isomorphism
@@ -41,7 +45,6 @@ __all__ = [
     "z_leq",
     "phi_leq",
     "FiniteRootDatum",
-    "AlcoveVector",
     "UnsupportedAffineTypeError",
     "root_datum",
     "recognize_affine",
@@ -65,194 +68,93 @@ def z_leq(i, j):
     return i == 0 or (i > 0) == (j > 0)
 
 
-# ---------------------------------------------------------------------------
-# exact rational linear algebra (tiny systems)
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _solve(matrix, rhs):
-    """Solve a small nonsingular rational system by Gaussian elimination."""
-    n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ArithmeticError("singular system")
-        a[k], a[piv] = a[piv], a[k]
-        inv = Fraction(1) / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
+def _type_a(n):
+    return tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
+        for i in range(n)
+    )
 
 
-_SIMPLE_ROOTS = {
-    "A1": ((1, -1),),
-    "A2": ((1, -1, 0), (0, 1, -1)),
-    "A3": ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)),
-    "A4": ((1, -1, 0, 0, 0), (0, 1, -1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1)),
-    "B3": ((1, -1, 0), (0, 1, -1), (0, 0, 1)),
-    "C2": ((1, -1), (0, 2)),
-    "G2": ((1, -1, 0), (-1, 2, -1)),
+# Gram matrix (alpha_i | alpha_j) of the simple roots of each supported type,
+# scaled to integers.  Every other datum is computed from it.
+_GRAMS = {
+    "A1": _type_a(1),
+    "A2": _type_a(2),
+    "A3": _type_a(3),
+    "A4": _type_a(4),
+    "B3": ((2, -1, 0), (-1, 2, -1), (0, -1, 1)),
+    "C2": ((2, -2), (-2, 4)),
+    "G2": ((2, -3), (-3, 6)),
 }
 
-
-@dataclass(frozen=True)
-class _AffineMap:
-    """x -> A x + b with exact rational entries."""
-
-    matrix: tuple
-    offset: tuple
-
-    def __call__(self, v):
-        return tuple(_dot(row, v) + o for row, o in zip(self.matrix, self.offset))
-
-    def compose(self, other):
-        rows = tuple(
-            tuple(_dot(r, [other.matrix[k][j] for k in range(len(r))]) for j in range(len(r)))
-            for r in self.matrix
-        )
-        off = tuple(_dot(r, other.offset) + o for r, o in zip(self.matrix, self.offset))
-        return _AffineMap(rows, off)
-
-    def is_identity(self):
-        n = len(self.matrix)
-        if any(o != 0 for o in self.offset):
-            return False
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
-
-
-def _reflection_map(alpha, dim):
-    """Linear reflection through the hyperplane orthogonal to alpha."""
-    norm = _dot(alpha, alpha)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            val = Fraction(1 if i == j else 0) - Fraction(2 * alpha[i] * alpha[j], norm)
-            row.append(val)
-        rows.append(tuple(row))
-    return _AffineMap(tuple(rows), tuple(Fraction(0) for _ in range(dim)))
-
-
-def _affine_reflection_map(theta, level, dim):
-    """Reflection in the hyperplane {<x, theta> = level}."""
-    norm = _dot(theta, theta)
-    lin = _reflection_map(theta, dim)
-    off = tuple(Fraction(2 * level * theta[i], norm) for i in range(dim))
-    return _AffineMap(lin.matrix, off)
+# m_ij from <a^v, b><b^v, a> = 4 cos^2(pi / m_ij); 4 means the reflections
+# in a and b generate an infinite dihedral group
+_LABEL_OF_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6, 4: INF}
 
 
 class FiniteRootDatum:
-    """A supported finite Weyl root system plus its affine realization."""
+    """A supported finite Weyl root system, in simple-root coordinates.
+
+    Roots are integer tuples over the simple roots; `positive_roots` is
+    sorted lexicographically, and `highest_root` (theta) dominates every
+    positive root componentwise.  `affine_labels` is the Coxeter matrix of
+    the affine group on the simple reflections plus s_0 (slot `rank`), the
+    reflection in the hyperplane {<x, theta> = 1}.
+    """
 
     def __init__(self, label):
-        simples = [tuple(Fraction(x) for x in v) for v in _SIMPLE_ROOTS[label]]
         self.label = label
-        self.rank = len(simples)
-        self.dim = len(simples[0])
-        self.simple_roots = tuple(simples)
-        self._gram = [[_dot(a, b) for b in simples] for a in simples]
+        self.gram = _GRAMS[label]
+        self.rank = len(self.gram)
+        self.simple_roots = simples = tuple(
+            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
+        )
 
         roots = set(simples)
         frontier = list(simples)
-        refl = [_reflection_map(a, self.dim) for a in simples]
         while frontier:
-            nxt = []
-            for r in frontier:
-                for m in refl:
-                    img = m(r)
-                    if img not in roots:
-                        roots.add(img)
-                        nxt.append(img)
-            frontier = nxt
-
-        coords = {r: self._simple_coords(r) for r in roots}
-        positive = [r for r in roots if all(c >= 0 for c in coords[r])]
+            images = {self._reflect(r, a) for r in frontier for a in simples}
+            frontier = list(images - roots)
+            roots |= images
+        positive = sorted(r for r in roots if min(r) >= 0)
         if 2 * len(positive) != len(roots):
             raise ArithmeticError("root system closure is inconsistent")
         if len(positive) != EXPECTED_POSITIVE_COUNTS[label]:
             raise ArithmeticError(f"unexpected positive root count for {label}")
-        positive.sort(key=lambda r: coords[r])
         self.positive_roots = tuple(positive)
-        self.positive_coords = tuple(coords[r] for r in positive)
-
-        highest = None
-        for r in positive:
-            if all(
-                all(a >= b for a, b in zip(coords[r], coords[q])) for q in positive
-            ):
-                highest = r
-        if highest is None:
+        self.highest_root = max(positive, key=sum)
+        if any(h < c for r in positive for h, c in zip(self.highest_root, r)):
             raise ArithmeticError("no dominating root found")
-        self.highest_root = highest
-        self.highest_coords = coords[highest]
 
-        gens = [_reflection_map(a, self.dim) for a in simples]
-        gens.append(_affine_reflection_map(highest, 1, self.dim))
-        self.generators = tuple(gens)
-        for g in gens:
-            if not g.compose(g).is_identity():
-                raise ArithmeticError("generator is not an involution")
-        self.affine_labels = self._coxeter_matrix()
+        # s_0 reflects in a hyperplane orthogonal to theta, so theta stands in
+        # for its root
+        slots = simples + (self.highest_root,)
+        self.affine_labels = tuple(
+            tuple(
+                1 if i == j
+                else _LABEL_OF_PRODUCT[self._coroot_pairing(a, b) * self._coroot_pairing(b, a)]
+                for j, b in enumerate(slots)
+            )
+            for i, a in enumerate(slots)
+        )
 
-    def _simple_coords(self, root):
-        rhs = [_dot(root, a) for a in self.simple_roots]
-        return tuple(_solve(self._gram, rhs))
+    def _form(self, x, y):
+        """(x | y) for vectors in simple-root coordinates."""
+        return sum(
+            xi * gij * yj for xi, row in zip(x, self.gram) for gij, yj in zip(row, y)
+        )
 
-    def _coxeter_matrix(self, cap=64):
-        n = len(self.generators)
-        mat = [[1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod = self.generators[i].compose(self.generators[j])
-                cur = prod
-                # order of the product map; past the cap the pair is free (m = oo)
-                order = INF
-                for k in range(1, cap + 1):
-                    if cur.is_identity():
-                        order = k
-                        break
-                    cur = cur.compose(prod)
-                mat[i][j] = mat[j][i] = order
-        return tuple(tuple(row) for row in mat)
+    def _coroot_pairing(self, x, beta):
+        """<x, beta^v> = 2 (x | beta) / (beta | beta), an integer for roots."""
+        k, rem = divmod(2 * self._form(x, beta), self._form(beta, beta))
+        if rem:
+            raise ArithmeticError("pairing with a coroot is not an integer")
+        return k
 
-    def interior_point(self, variant=0):
-        """A rational point inside the fundamental alcove.
-
-        Built from the dual basis: <p, alpha_i> = t_i > 0 with
-        sum t_i m_i < 1 for the highest root theta = sum m_i alpha_i, so all
-        positive-root pairings are strictly between 0 and 1.
-        """
-        m = self.highest_coords
-        if variant == 0:
-            weights = [Fraction(1)] * self.rank
-        else:
-            weights = [Fraction(2 + (i % 3)) for i in range(self.rank)]
-        denom = 1 + sum(w * mi for w, mi in zip(weights, m))
-        t = [w / denom for w in weights]
-        # p = sum_i t_i omega_i with omega_i the dual basis of the simples
-        coeffs = _solve(self._gram, t)
-        point = [Fraction(0)] * self.dim
-        for c, a in zip(coeffs, self.simple_roots):
-            for k in range(self.dim):
-                point[k] += c * a[k]
-        point = tuple(point)
-        for alpha in self.positive_roots:
-            val = _dot(point, alpha)
-            if not 0 < val < 1:
-                raise ArithmeticError("interior point escaped the fundamental alcove")
-        return point
+    def _reflect(self, x, beta):
+        """s_beta(x) = x - <x, beta^v> beta."""
+        k = self._coroot_pairing(x, beta)
+        return tuple(a - k * b for a, b in zip(x, beta))
 
     def __repr__(self):
         return f"FiniteRootDatum({self.label})"
@@ -265,63 +167,41 @@ def root_datum(label):
     return FiniteRootDatum(label)
 
 
-class AlcoveVector:
-    """Map from the ordered positive roots to the integers n_w^alpha."""
-
-    __slots__ = ("datum", "values")
-
-    def __init__(self, datum, values):
-        self.datum = datum
-        self.values = tuple(values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def coord_for_root(self, root):
-        return self.values[self.datum.positive_roots.index(root)]
-
-    def __eq__(self, other):
-        if not isinstance(other, AlcoveVector):
-            return NotImplemented
-        return self.datum is other.datum and self.values == other.values
-
-    def __hash__(self):
-        return hash((id(self.datum), self.values))
-
-    def __repr__(self):
-        return f"AlcoveVector({self.values})"
-
-
 def phi_leq(a, b):
     """Componentwise signed-magnitude comparison of alcove vectors."""
-    if a.datum is not b.datum:
-        raise ValueError("alcove vectors use different root orderings")
-    return all(z_leq(x, y) for x, y in zip(a.values, b.values))
+    if len(a) != len(b):
+        raise ValueError("alcove vectors of different lengths")
+    return all(z_leq(x, y) for x, y in zip(a, b))
 
 
-def alcove_coords(datum, word, variant=0):
+def alcove_coords(datum, word):
     """Alcove vector of the element spelled by `word` over the affine
-    generators (0..rank-1 finite, rank = affine node).
+    generators (0..rank-1 the simple reflections, rank for s_0), as a tuple
+    over `datum.positive_roots`.
 
-    The word acts on an interior point of the fundamental alcove; the
-    leftmost letter is the outermost reflection.
+    The element is kept as w = t_lam u: lam by its pairings <lam, alpha_j>
+    with the simple roots, u by the images u^-1(alpha_j).  Letters act as
+    right multiplications in word order: s_i replaces u by u s_i, and
+    s_0 = t_(theta^v) s_theta adds u(theta^v) to lam and replaces u by
+    u s_theta.  Then n_w(alpha) = <lam, alpha> - [u^-1 alpha < 0].
     """
-    pt = datum.interior_point(variant)
-    for s in reversed(word):
-        pt = datum.generators[s](pt)
+    theta = datum.highest_root
+    lam = [0] * datum.rank
+    inv = list(datum.simple_roots)
+    for s in word:
+        if s == datum.rank:
+            lam = [l + datum._coroot_pairing(b, theta) for l, b in zip(lam, inv)]
+            beta = theta
+        else:
+            beta = datum.simple_roots[s]
+        inv = [datum._reflect(b, beta) for b in inv]
     values = []
     for alpha in datum.positive_roots:
-        val = _dot(pt, alpha)
-        if val.denominator == 1:
-            raise ArithmeticError("alcove point landed on a wall")
-        values.append(math.floor(val))
-    return AlcoveVector(datum, values)
+        image = [sum(c * b[k] for c, b in zip(alpha, inv)) for k in range(datum.rank)]
+        values.append(
+            sum(c * l for c, l in zip(alpha, lam)) - (1 if min(image) < 0 else 0)
+        )
+    return tuple(values)
 
 
 def recognize_affine(d):
@@ -384,7 +264,7 @@ def embedding_check(d, radius):
 
     length_mismatches = []
     for el, vec in zip(ball.elements, vectors):
-        total = sum(abs(v) for v in vec.values)
+        total = sum(abs(v) for v in vec)
         if total != el.length():
             length_mismatches.append(
                 {"word": el.word_str(), "length": el.length(), "sum_abs": total}

@@ -17,7 +17,6 @@ deterministic.
 """
 
 import json
-import os
 import re
 from functools import reduce
 from itertools import chain
@@ -36,22 +35,12 @@ __all__ = [
     "ReducedWordAutomaton",
     "StateCapExceededError",
     "build",
-    "resolve_state_cap",
     "DEFAULT_STATE_CAP",
 ]
 
 
 class StateCapExceededError(CapExceededError):
     """The state BFS hit the cap before closing."""
-
-
-def resolve_state_cap(cap=None):
-    if cap is not None:
-        return cap
-    env = os.environ.get("COXWALK_STATE_CAP", "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_STATE_CAP
 
 
 # how to_json writes a coordinate: str() of an int
@@ -141,10 +130,6 @@ class ReducedWordAutomaton:
             self._ids = _id_tables(len(self.root_vectors))
         data = state.to_bytes(len(self._ids), "little")
         return tuple(chain.from_iterable(map(getitem, self._ids, data)))
-
-    def state_roots(self, sid):
-        """Roots of a state as coordinate vectors, canonically sorted."""
-        return tuple(self.root_vectors[rid] for rid in self._root_ids(self.states[sid]))
 
     def state_contains_simple(self, sid, s):
         return bool(self.states[sid] >> self.simple_root_ids[s] & 1)
@@ -370,7 +355,7 @@ def _root_table(diagram, field):
     return tuple(vectors[rid] for rid in order), tuple(new_id[:n]), step
 
 
-def build(diagram, cap=None):
+def build(diagram, cap=DEFAULT_STATE_CAP):
     """BFS the state recursion from the empty state.
 
     Finiteness holds for every diagram exercised here; the cap converts
@@ -378,7 +363,6 @@ def build(diagram, cap=None):
     The rank-5 compact hyperbolic path diagram closes at 101412 states, so
     the default cap leaves ample headroom above every built-in diagram.
     """
-    cap = resolve_state_cap(cap)
     if cap < 1:
         raise ValueError("state cap must be >= 1")
     field = algebra.field_for(diagram)

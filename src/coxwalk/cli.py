@@ -31,10 +31,14 @@ EXIT_UNSUPPORTED = 3
 
 # Largest K that `automaton --count K` accepts.  The counts for lengths
 # 0..K take one transfer-matrix pass of K steps, each costing one big-integer
-# add per edge.  At the cap, fig1_path4_435 (1 020 edges) takes 0.2 s and the
-# largest built-in automaton (case_vi, 273 911 edges, counts of 370 digits)
-# about 75 s on a 2-vCPU VM.
+# add per edge, so the build's edge count bounds K as well.
 MAX_COUNT_LENGTH = 1000
+# Largest K times edge count that `automaton --count K` accepts.  An add
+# costs more as the counts grow with K.  Among the built-in automata the
+# slowest accepted count is fig1_path5_4335 (75 206 edges) at K = 265, about
+# 1.7 s on a 2-vCPU VM; fig1_cycle5_43333 (11 207 edges) at K = 1000 takes
+# 1.1 s.  Uncapped, case_vi (273 911 edges) at K = 1000 took 76 s.
+MAX_COUNT_EDGE_STEPS = 20_000_000
 
 
 def _load_diagram(path):
@@ -79,6 +83,13 @@ def cmd_automaton(args):
     }
     lines = [f"states: {auto.num_states}", f"edges: {auto.num_edges}"]
     if args.count is not None:
+        if args.count * auto.num_edges > MAX_COUNT_EDGE_STEPS:
+            print(
+                f"error: --count {args.count} times {auto.num_edges} edges exceeds "
+                f"{MAX_COUNT_EDGE_STEPS} edge steps",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
         counts = auto.reduced_word_counts(args.count)
         payload["reduced_word_counts"] = counts
         lines.append("reduced words by length: " + " ".join(map(str, counts)))
@@ -274,7 +285,12 @@ def build_parser():
         metavar="K",
         help=f"print reduced-word counts for lengths <= K (at most {MAX_COUNT_LENGTH})",
     )
-    p.add_argument("--cap", type=_int_at_least(1), help="state cap (default from COXWALK_STATE_CAP)")
+    p.add_argument(
+        "--cap",
+        type=_int_at_least(1),
+        default=automaton_mod.DEFAULT_STATE_CAP,
+        help=f"state cap (default {automaton_mod.DEFAULT_STATE_CAP})",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_automaton)
 

@@ -28,7 +28,6 @@ __all__ = [
     "is_locally_finite",
     "isomorphism",
     "path_diagram",
-    "cycle_diagram",
 ]
 
 
@@ -80,12 +79,6 @@ class CoxeterDiagram:
 
     def label(self, i, j):
         return self.labels[i][j]
-
-    def index(self, name):
-        try:
-            return self._index[name]
-        except KeyError:
-            raise DiagramError(f"unknown generator {name!r}") from None
 
     def edges(self):
         """(i, j, m) with i < j and m >= 3."""
@@ -317,15 +310,6 @@ def path_diagram(labels, names=None):
     if names is None:
         names = _default_names(n)
     edges = [(names[i], names[i + 1], labels[i]) for i in range(n - 1)]
-    return from_edges(names, edges)
-
-
-def cycle_diagram(labels, names=None):
-    """Cycle on len(labels) nodes; labels[i] sits on edge (i, i+1 mod n)."""
-    n = len(labels)
-    if names is None:
-        names = _default_names(n)
-    edges = [(names[i], names[(i + 1) % n], labels[i]) for i in range(n)]
     return from_edges(names, edges)
 
 

@@ -212,8 +212,6 @@ def check_classify_figure1(ctx):
 
 
 def check_classify_triangles(ctx):
-    from fractions import Fraction
-
     wrong = {}
     total = 0
     for p in range(2, 8):
@@ -225,7 +223,8 @@ def check_classify_triangles(ctx):
                 d = diagram_mod.from_edges(
                     ("a", "b", "c"), [("a", "b", p), ("b", "c", q), ("a", "c", r)]
                 )
-                excess = Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
+                # 1/p + 1/q + 1/r - 1 times pqr > 0, so it has the same sign
+                excess = q * r + r * p + p * q - p * q * r
                 if excess > 0:
                     expect = DiagramClass.FINITE
                 elif excess == 0:

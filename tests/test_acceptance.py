@@ -5,9 +5,18 @@ tests/test_acceptance.py` to see the table.  Each criterion also carries a
 wall-clock budget, asserted against the sum of its checks.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from coxwalk import verification
+
+# The details of all 25 checks, JSON-normalized: the measured values behind
+# each verdict.  A change to any of them is a change to a reproduced fact.
+EXPECTED_DETAILS = json.loads(
+    (Path(__file__).parent / "data" / "verify_paper_details.json").read_text()
+)
 
 BUDGET_SECONDS = {
     1: 60,
@@ -51,3 +60,8 @@ def test_criterion(criterion, results):
 def test_every_registered_check_passed(results):
     failed = [r.check_id for r in results if not r.passed]
     assert not failed
+
+
+def test_details_match_pinned_values(results):
+    details = {r.check_id: json.loads(json.dumps(r.details, default=str)) for r in results}
+    assert details == EXPECTED_DETAILS

@@ -148,14 +148,6 @@ def test_state_cap():
     assert "frontier" in str(err.value)
 
 
-def test_state_cap_env(monkeypatch):
-    monkeypatch.setenv("COXWALK_STATE_CAP", "2")
-    assert automaton.resolve_state_cap() == 2
-    monkeypatch.delenv("COXWALK_STATE_CAP")
-    assert automaton.resolve_state_cap() == automaton.DEFAULT_STATE_CAP
-    assert automaton.resolve_state_cap(17) == 17
-
-
 def test_deterministic_build():
     a1 = automaton.build(T334)
     a2 = automaton.build(T334)

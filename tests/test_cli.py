@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from coxwalk.affine import EMBEDDING_BALL_CAP
 from coxwalk.antichain import FAMILY_CAP
 from coxwalk.automaton import ReducedWordAutomaton, build
-from coxwalk.cli import MAX_COUNT_LENGTH, main
+from coxwalk.cli import MAX_COUNT_EDGE_STEPS, MAX_COUNT_LENGTH, main
 from coxwalk.diagram import parse_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "coxwalk" / "fixtures"
@@ -150,6 +150,28 @@ def test_automaton_count_at_cap_is_fast(capsys):
     assert time.perf_counter() - t0 < 5
     assert code == 0
     assert json.loads(out)["reduced_word_counts"] == [1] + [2] * MAX_COUNT_LENGTH
+
+
+def test_automaton_count_edge_cap(capsys):
+    # case_vi has 273 911 edges: K = 1000 would take over a minute, so it is
+    # refused after the build
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "automaton", fixture("case_vi"), "--count", "1000")
+    assert time.perf_counter() - t0 < 10
+    assert code == 2
+    assert out == ""
+    assert "--count 1000" in err and "273911 edges" in err
+    assert str(MAX_COUNT_EDGE_STEPS) in err
+
+
+def test_automaton_count_under_edge_cap(capsys):
+    code, out, _ = run(capsys, "automaton", fixture("fig1_path4_435"), "--count", "1000", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["edges"] * 1000 <= MAX_COUNT_EDGE_STEPS
+    counts = payload["reduced_word_counts"]
+    assert len(counts) == 1001
+    assert counts[:3] == [1, 4, 12]
 
 
 def test_automaton_export_dot(capsys):
