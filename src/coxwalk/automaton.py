@@ -13,7 +13,11 @@ Brink and Howlett (Math. Ann. 296, 1993), sorted once into a canonical
 order (lexicographic on the integer coefficient vectors) and tabulated as
 step[s][root].  Phase 2 runs the state BFS with each state a Python int
 whose bit i marks root i, so state contents, exports and state indices are
-deterministic.
+deterministic.  Since s acts on each root separately, the images of a state
+under every generator are the OR of its roots' images; one table per state
+byte packs them into one int, generator s in bits s*w .. s*w+w-1 with w the
+number of roots, so each state costs one table pass and each edge a shift
+and a mask.
 """
 
 import json
@@ -74,15 +78,6 @@ def _mask(ids):
     return mask
 
 
-def _id_tables(nroots):
-    """For each byte of a state, the ascending root ids that each of the 256
-    byte values marks."""
-    return [
-        [tuple(k + i for i in range(8) if b >> i & 1 and k + i < nroots) for b in range(256)]
-        for k in range(0, nroots, 8)
-    ]
-
-
 class ReducedWordAutomaton:
     """Deterministic automaton; every state is accepting, missing
     transitions reject.
@@ -101,7 +96,6 @@ class ReducedWordAutomaton:
         self.simple_root_ids = simple_root_ids
         self.start = 0
         self._canon = None
-        self._ids = None
 
     @property
     def num_states(self):
@@ -123,13 +117,6 @@ class ReducedWordAutomaton:
 
     def accepts(self, word):
         return self.run(word) is not None
-
-    def _root_ids(self, state):
-        """Ascending root ids of a state bitmask."""
-        if self._ids is None:
-            self._ids = _id_tables(len(self.root_vectors))
-        data = state.to_bytes(len(self._ids), "little")
-        return tuple(chain.from_iterable(map(getitem, self._ids, data)))
 
     def state_contains_simple(self, sid, s):
         return bool(self.states[sid] >> self.simple_root_ids[s] & 1)
@@ -182,24 +169,39 @@ class ReducedWordAutomaton:
 
     def to_json(self):
         """Export schema version 2 as compact JSON: the root table once,
-        each state as its ascending root ids, transitions per state."""
+        each state as its ascending root ids, transitions per state.
+
+        The states are written from text fragments, one per value of each
+        byte of a state, to the bytes json.dumps would give."""
         names = self.diagram.names
-        payload = {
-            "format": "coxwalk-automaton",
-            "version": EXPORT_VERSION,
-            "generators": list(names),
-            "diagram": self.diagram.to_text(),
-            "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
-            "start": self.start,
-            "roots": [
-                [[str(x) for x in e.nums] for e in vec] for vec in self.root_vectors
-            ],
-            "states": [self._root_ids(state) for state in self.states],
-            "transitions": [
-                {names[s]: to for s, to in sorted(t.items())} for t in self.transitions
-            ],
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        frags = [
+            [",".join(str(k + i) for i in range(8) if b >> i & 1) for b in range(256)]
+            for k in range(0, len(self.root_vectors), 8)
+        ]
+        nbytes = len(frags)
+        states = ",".join(
+            "[" + ",".join(filter(None, map(getitem, frags, state.to_bytes(nbytes, "little")))) + "]"
+            for state in self.states
+        )
+        head = json.dumps(
+            {
+                "format": "coxwalk-automaton",
+                "version": EXPORT_VERSION,
+                "generators": list(names),
+                "diagram": self.diagram.to_text(),
+                "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
+                "start": self.start,
+                "roots": [
+                    [[str(x) for x in e.nums] for e in vec] for vec in self.root_vectors
+                ],
+            },
+            separators=(",", ":"),
+        )
+        transitions = json.dumps(
+            [{names[s]: to for s, to in sorted(t.items())} for t in self.transitions],
+            separators=(",", ":"),
+        )
+        return f'{head[:-1]},"states":[{states}],"transitions":{transitions}}}'
 
     @classmethod
     def from_json(cls, text, diagram=None):
@@ -253,6 +255,10 @@ class ReducedWordAutomaton:
             raise ValueError("root table lacks a simple root")
 
         nroots = len(vectors)
+        # ids, targets and start are plain ints: JSON true would read as 1,
+        # and a float would fail only later, in a run
+        if not set(map(type, chain.from_iterable(payload["states"]))) <= {int}:
+            raise ValueError("state holds a root id that is not an integer")
         states = []
         for ids in payload["states"]:
             if ids and (min(ids) < 0 or max(ids) >= nroots):
@@ -270,14 +276,14 @@ class ReducedWordAutomaton:
                 s = name_to_idx.get(label)
                 if s is None:
                     raise ValueError(f"unknown generator label {label!r} in transitions")
-                if not 0 <= to < len(states):
+                if type(to) is not int or not 0 <= to < len(states):
                     raise ValueError(f"transition target {to!r} is not a state")
                 trans[s] = to
             transitions.append(trans)
         if len(transitions) != len(states):
             raise ValueError("export needs one transition row per state")
         start = payload["start"]
-        if not 0 <= start < len(states):
+        if type(start) is not int or not 0 <= start < len(states):
             raise ValueError(f"start {start!r} is not a state")
         auto = cls(diagram, field, vectors, states, transitions, simple_ids)
         auto.start = start
@@ -369,14 +375,25 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
     vectors, simple_ids, step = _root_table(diagram, field)
     n = diagram.rank
 
-    # Phase 2.  tables[s][k][b] is the state of the images under s of the
-    # roots that byte value b marks in byte k of a state
-    id_tables = _id_tables(len(vectors))
-    nbytes = len(id_tables)
-    tables = [
-        [[_mask(st[rid] for rid in ids if st[rid] >= 0) for ids in by_byte] for by_byte in id_tables]
-        for st in step
-    ]
+    # Phase 2.  root_imgs[rid] packs the images of root rid under every
+    # generator, generator s in bits s*w .. s*w+w-1 (bit s*w + i marks root
+    # i).  packed[k][b] is the OR of root_imgs over the roots that byte value
+    # b marks in byte k of a state: the entry without b's lowest bit, plus
+    # that bit's root.  Bits past the last root add nothing.
+    w = len(vectors)
+    root_imgs = [
+        sum(1 << (s * w + st[rid]) for s, st in enumerate(step) if st[rid] >= 0)
+        for rid in range(w)
+    ] + [0] * (-w % 8)
+    packed = []
+    for k in range(0, w, 8):
+        table = [0] * 256
+        for b in range(1, 256):
+            table[b] = table[b & (b - 1)] | root_imgs[k + (b & -b).bit_length() - 1]
+        packed.append(table)
+    nbytes = len(packed)
+    full = (1 << w) - 1
+    shifts = [s * w for s in range(n)]
     simple_bits = [1 << rid for rid in simple_ids]
 
     states = {0: 0}
@@ -384,13 +401,13 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
     transitions = [{}]
     # state_list grows while it is walked: it is the BFS queue
     for sid, state in enumerate(state_list):
-        data = state.to_bytes(nbytes, "little")
+        imgs = reduce(or_, map(getitem, packed, state.to_bytes(nbytes, "little")), 0)
         trans = transitions[sid]
         for s in range(n):
             bit = simple_bits[s]
             if state & bit:
                 continue
-            img = reduce(or_, map(getitem, tables[s], data), bit)
+            img = imgs >> shifts[s] & full | bit
             to = states.get(img)
             if to is None:
                 if len(state_list) >= cap:

@@ -148,6 +148,18 @@ def test_state_cap():
     assert "frontier" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "name, cap, frontier",
+    [("case_vi", 1000, 337), ("case_vi", 20000, 2620), ("fig1_path5_5335", 1000, 374)],
+)
+def test_state_cap_frontier_pinned(vctx, name, cap, frontier):
+    """The frontier at the cap depends on the BFS order of states and of
+    generators within a state, so it pins that order."""
+    with pytest.raises(automaton.StateCapExceededError) as err:
+        automaton.build(vctx.fixture(name), cap=cap)
+    assert err.value.info == {"cap": cap, "frontier": frontier}
+
+
 def test_deterministic_build():
     a1 = automaton.build(T334)
     a2 = automaton.build(T334)
@@ -228,19 +240,24 @@ def test_json_schema_v2():
     assert payload["transitions"][0] == {"a": 1, "b": 2}
 
 
-# Size and SHA-256 of the schema-v2 export of three fixtures.  Root
+# Size and SHA-256 of the schema-v2 export of five fixtures.  Root
 # coordinates are written as decimal integers in the canonical root order, so
 # a change to the field layer's representation or to that order shows here.
+# The rank-5 automata have 114 and 135 roots: their states span 15 and 17
+# bytes, and each generator's image slot in the build is wider than 64 bits.
 EXPORT_DIGESTS = {
     "triangle_334": (784, "59c071472185b86b2086448bff28d37f302098be49cf1d698ad545efaea7bb39"),
     "fig1_path4_435": (21015, "c5a29c15caa238173e86e110403f3bd00f2da82b4ff3a4e733aad2b96056ee0b"),
     "case_v": (31088, "99cf793179503413dea25693b723dc0354973fd4877bdd36a583445b9720e2cc"),
+    "case_vi": (10199887, "44b21fbbfe3b4df24fe2f3a133e36b18fb947bd5850ee0cb5a9fc53bbfb41fee"),
+    "fig1_path5_5335": (4619048, "6dc874a57299aadb4a11b116fee2f6964a40cf807381809eb020bdc1d4101f55"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
 def test_json_export_bytes_pinned(vctx, name):
-    text = automaton.build(vctx.fixture(name)).to_json()
+    # the context builds each automaton once per session (case_vi is shared)
+    text = vctx.automaton_for(name).to_json()
     assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == EXPORT_DIGESTS[name]
 
 
@@ -267,6 +284,14 @@ def _corrupt(d, change):
             lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", id="roots-repeated"
         ),
         pytest.param(lambda p: p["transitions"][0].update(z=1), "unknown generator", id="unknown-label"),
+        # ids, targets and start are plain ints: JSON true is not 1, and a
+        # float target would only fail later, in a run
+        pytest.param(lambda p: p["transitions"][0].update(a=1.5), "target 1.5", id="target-float"),
+        pytest.param(lambda p: p["transitions"][0].update(a=True), "target True", id="target-bool"),
+        pytest.param(lambda p: p.update(start=0.5), "start 0.5", id="start-float"),
+        pytest.param(lambda p: p.update(start=True), "start True", id="start-bool"),
+        pytest.param(lambda p: p["states"][3].__setitem__(0, 1.5), "not an integer", id="root-id-float"),
+        pytest.param(lambda p: p["states"][3].__setitem__(0, True), "not an integer", id="root-id-bool"),
         # coefficients are integer literals: int() would truncate a float, and
         # a bare string would be read digit by digit
         pytest.param(lambda p: p["roots"][0][0].__setitem__(0, "1/2"), LITERALS, id="coord-fraction"),

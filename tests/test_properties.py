@@ -41,10 +41,10 @@ def automaton_for(d):
 
 
 @st.composite
-def diagrams(draw, max_rank=4):
-    """Rank 2 to max_rank, every pair labelled from LABELS (so possibly
-    reducible)."""
-    n = draw(st.integers(2, max_rank))
+def diagrams(draw, min_rank=2, max_rank=4):
+    """Rank min_rank to max_rank, every pair labelled from LABELS (so
+    possibly reducible)."""
+    n = draw(st.integers(min_rank, max_rank))
     labels = [[1] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         labels[i][j] = labels[j][i] = draw(st.sampled_from(LABELS))
@@ -226,6 +226,61 @@ def test_automaton_accepts_exactly_reduced_words(case):
     reduced = group_for(d).element_of(word).length() == len(word)
     assert automaton_for(d).accepts(word) == reduced
     assert group_for(d).is_reduced(word) == reduced
+
+
+# The reference BFS below stops where build's cap would: a larger automaton
+# is compared on the frontier its cap leaves, which depends on the order.
+STATE_CAP = 5000
+
+
+def _reference_bfs(d):
+    """The state BFS with each state a frozenset of root ids, read straight
+    from the step table: the states and transitions in discovery order, or
+    the cap info where a new state would pass STATE_CAP."""
+    _, simple_ids, step = automaton._root_table(d, algebra.field_for(d))
+    states = [frozenset()]
+    index = {states[0]: 0}
+    transitions = []
+    for sid, state in enumerate(states):
+        trans = {}
+        for s, simple in enumerate(simple_ids):
+            if simple in state:
+                continue
+            img = frozenset({simple, *(step[s][r] for r in state if step[s][r] >= 0)})
+            if img not in index:
+                if len(states) >= STATE_CAP:
+                    return {"cap": STATE_CAP, "frontier": len(states) - sid - 1}
+                index[img] = len(states)
+                states.append(img)
+            trans[s] = index[img]
+        transitions.append(trans)
+    return states, transitions
+
+
+def _check_build_matches_reference(d):
+    try:
+        auto = automaton.build(d, cap=STATE_CAP)
+    except automaton.StateCapExceededError as err:
+        got = err.info
+    else:
+        roots = range(len(auto.root_vectors))
+        got = [frozenset(r for r in roots if state >> r & 1) for state in auto.states], auto.transitions
+    assert got == _reference_bfs(d)
+
+
+@SETTINGS
+@given(diagrams(min_rank=1, max_rank=5))
+def test_build_matches_reference_bfs(d):
+    _check_build_matches_reference(d)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_build_matches_reference_bfs_on_fixtures(name):
+    _check_build_matches_reference(parse_diagram(FIXTURE_DIR.joinpath(name).read_text()))
+
+
+def test_build_matches_reference_bfs_rank0():
+    _check_build_matches_reference(CoxeterDiagram((), ()))
 
 
 @SETTINGS
