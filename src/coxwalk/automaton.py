@@ -18,10 +18,17 @@ under every generator are the OR of its roots' images; one table per state
 byte packs them into one int, generator s in bits s*w .. s*w+w-1 with w the
 number of roots, so each state costs one table pass and each edge a shift
 and a mask.
+
+The transitions are one flat array("i") of n entries per state, n the rank:
+table[sid * n + s] is the state reached from state sid on generator s, or
+-1 when s is not allowed there.  `next_state(sid, s)` reads one edge and
+answers None for a missing edge or a letter outside 0..n-1.  The table costs
+4 bytes per (state, generator) and no object per state.
 """
 
 import json
 import re
+from array import array
 from functools import reduce
 from itertools import chain
 from operator import getitem, or_
@@ -78,21 +85,37 @@ def _mask(ids):
     return mask
 
 
+def _refuse_row(sid, row, names, simple_bits, held):
+    """Raise ValueError for the first label of state sid's transition row
+    that is unknown, or that disagrees with the simple roots it holds."""
+    for label in row:
+        if label not in names:
+            raise ValueError(f"unknown generator label {label!r} in transitions")
+    for name, bit in zip(names, simple_bits):
+        if held & bit and name in row:
+            raise ValueError(f"state {sid} holds alpha_{name} but has an edge on it")
+        if not held & bit and name not in row:
+            raise ValueError(f"state {sid} lacks alpha_{name} but has no edge on it")
+
+
 class ReducedWordAutomaton:
     """Deterministic automaton; every state is accepting, missing
     transitions reject.
 
     `root_vectors` is the canonically ordered root table and each entry of
     `states` is an int whose bit i marks root i of that table.  The table
-    may hold elementary roots that no state uses.
+    may hold elementary roots that no state uses.  `table` is the flat
+    transition table: `table[sid * n + s]` is the target of the edge on s
+    from state sid, or -1 when there is none.
     """
 
-    def __init__(self, diagram, field, root_vectors, states, transitions, simple_root_ids):
+    def __init__(self, diagram, field, root_vectors, states, table, simple_root_ids):
         self.diagram = diagram
         self.field = field
         self.root_vectors = root_vectors
         self.states = states
-        self.transitions = transitions
+        self.table = table
+        self.rank = diagram.rank
         self.simple_root_ids = simple_root_ids
         self.start = 0
         self._canon = None
@@ -103,16 +126,29 @@ class ReducedWordAutomaton:
 
     @property
     def num_edges(self):
-        return sum(len(t) for t in self.transitions)
+        return len(self.table) - self.table.count(-1)
+
+    def next_state(self, sid, s):
+        """The state reached from state sid on generator s, or None when
+        there is no edge (a letter outside 0..n-1 has none)."""
+        n = self.rank
+        if not 0 <= s < n:
+            return None
+        to = self.table[sid * n + s]
+        return None if to < 0 else to
 
     def run(self, word):
         """Final state index, or None at the first missing transition."""
+        table, n = self.table, self.rank
         cur = self.start
         for s in word:
-            nxt = self.transitions[cur].get(s)
-            if nxt is None:
+            # a bare flat index would read a letter outside 0..n-1 from a
+            # neighbouring row
+            if not 0 <= s < n:
                 return None
-            cur = nxt
+            cur = table[cur * n + s]
+            if cur < 0:
+                return None
         return cur
 
     def accepts(self, word):
@@ -126,6 +162,7 @@ class ReducedWordAutomaton:
         elements), in one pass of the transfer matrix."""
         if k < 0:
             raise ValueError("length must be >= 0")
+        table, n = self.table, self.rank
         cur = [0] * self.num_states
         cur[self.start] = 1
         counts = [1]
@@ -133,8 +170,9 @@ class ReducedWordAutomaton:
             nxt = [0] * self.num_states
             for sid, ways in enumerate(cur):
                 if ways:
-                    for to in self.transitions[sid].values():
-                        nxt[to] += ways
+                    for to in table[sid * n : sid * n + n]:
+                        if to >= 0:
+                            nxt[to] += ways
             cur = nxt
             counts.append(sum(cur))
         return counts
@@ -148,14 +186,13 @@ class ReducedWordAutomaton:
     def canonical_form(self):
         if self._canon is None:
             roots = tuple(_root_key(vec) for vec in self.root_vectors)
-            trans = tuple(tuple(sorted(t.items())) for t in self.transitions)
             self._canon = (
                 self.diagram.names,
                 self.field.L,
                 roots,
                 tuple(self.states),
                 self.start,
-                trans,
+                self.table.tobytes(),
             )
         return self._canon
 
@@ -197,11 +234,17 @@ class ReducedWordAutomaton:
             },
             separators=(",", ":"),
         )
-        transitions = json.dumps(
-            [{names[s]: to for s, to in sorted(t.items())} for t in self.transitions],
-            separators=(",", ":"),
+        # each row as json.dumps writes a dict of the present edges; rows are
+        # counted by state, since at rank 0 the table is empty but every
+        # state still has a row
+        table, n = self.table, self.rank
+        keys = [json.dumps(name) + ":" for name in names]
+        rows = (table[sid * n : sid * n + n] for sid in range(len(self.states)))
+        transitions = ",".join(
+            "{" + ",".join([k + str(to) for k, to in zip(keys, row) if to >= 0]) + "}"
+            for row in rows
         )
-        return f'{head[:-1]},"states":[{states}],"transitions":{transitions}}}'
+        return f'{head[:-1]},"states":[{states}],"transitions":[{transitions}]}}'
 
     @classmethod
     def from_json(cls, text, diagram=None):
@@ -260,32 +303,43 @@ class ReducedWordAutomaton:
         if not set(map(type, chain.from_iterable(payload["states"]))) <= {int}:
             raise ValueError("state holds a root id that is not an integer")
         states = []
-        for ids in payload["states"]:
+        seen = {}
+        for sid, ids in enumerate(payload["states"]):
             if ids and (min(ids) < 0 or max(ids) >= nroots):
                 raise ValueError(f"state holds a root id outside 0..{nroots - 1}")
             mask = _mask(ids)
             if mask.bit_count() != len(ids):
                 raise ValueError("state repeats a root id")
+            if mask in seen:
+                raise ValueError(f"state {sid} repeats state {seen[mask]}")
+            seen[mask] = sid
             states.append(mask)
 
-        name_to_idx = {name: s for s, name in enumerate(names)}
-        transitions = []
-        for row in payload["transitions"]:
-            trans = {}
-            for label, to in row.items():
-                s = name_to_idx.get(label)
-                if s is None:
-                    raise ValueError(f"unknown generator label {label!r} in transitions")
-                if type(to) is not int or not 0 <= to < len(states):
-                    raise ValueError(f"transition target {to!r} is not a state")
-                trans[s] = to
-            transitions.append(trans)
-        if len(transitions) != len(states):
+        rows = payload["transitions"]
+        if len(rows) != len(states):
             raise ValueError("export needs one transition row per state")
+        # build writes an edge on s exactly when alpha_s is not in the state,
+        # so the simple roots a state holds fix the labels of its row
+        simple_bits = [1 << rid for rid in simple_ids]
+        simple_mask = sum(simple_bits)
+        labels = {}
+        for sid, (state, row) in enumerate(zip(states, rows)):
+            held = state & simple_mask
+            if held not in labels:
+                labels[held] = {name for name, bit in zip(names, simple_bits) if not held & bit}
+            if row.keys() != labels[held]:
+                _refuse_row(sid, row, names, simple_bits, held)
+        targets = list(chain.from_iterable(map(dict.values, rows)))
+        if not set(map(type, targets)) <= {int} or (
+            targets and (min(targets) < 0 or max(targets) >= len(states))
+        ):
+            bad = next(to for to in targets if type(to) is not int or not 0 <= to < len(states))
+            raise ValueError(f"transition target {bad!r} is not a state")
+        table = array("i", [row.get(name, -1) for row in rows for name in names])
         start = payload["start"]
         if type(start) is not int or not 0 <= start < len(states):
             raise ValueError(f"start {start!r} is not a state")
-        auto = cls(diagram, field, vectors, states, transitions, simple_ids)
+        auto = cls(diagram, field, vectors, states, table, simple_ids)
         auto.start = start
         return auto
 
@@ -294,10 +348,11 @@ class ReducedWordAutomaton:
         lines.append(f'  __start -> "{self.start}";')
         for sid, state in enumerate(self.states):
             lines.append(f'  "{sid}" [label="{sid} [{state.bit_count()}]"];')
-        for sid in range(self.num_states):
-            for s, to in sorted(self.transitions[sid].items()):
-                name = self.diagram.names[s]
-                lines.append(f'  "{sid}" -> "{to}" [label="{name}"];')
+        names, n = self.diagram.names, self.rank
+        for i, to in enumerate(self.table):
+            if to >= 0:
+                sid, s = divmod(i, n)
+                lines.append(f'  "{sid}" -> "{to}" [label="{names[s]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -398,14 +453,16 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
 
     states = {0: 0}
     state_list = [0]
-    transitions = [{}]
+    # state sid's row is table[sid * n : sid * n + n]; rows are appended in
+    # BFS order, one entry per generator
+    table = array("i")
     # state_list grows while it is walked: it is the BFS queue
     for sid, state in enumerate(state_list):
         imgs = reduce(or_, map(getitem, packed, state.to_bytes(nbytes, "little")), 0)
-        trans = transitions[sid]
         for s in range(n):
             bit = simple_bits[s]
             if state & bit:
+                table.append(-1)
                 continue
             img = imgs >> shifts[s] & full | bit
             to = states.get(img)
@@ -419,6 +476,5 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
                     )
                 to = states[img] = len(state_list)
                 state_list.append(img)
-                transitions.append({})
-            trans[s] = to
-    return ReducedWordAutomaton(diagram, field, vectors, state_list, transitions, simple_ids)
+            table.append(to)
+    return ReducedWordAutomaton(diagram, field, vectors, state_list, table, simple_ids)

@@ -276,7 +276,7 @@ def _oracle_exhaustive(d, auto, max_len):
         if word_len == max_len:
             return
         for s in range(d.rank):
-            nxt = auto.transitions[state].get(s) if state is not None else None
+            nxt = auto.next_state(state, s) if state is not None else None
             visit(el.right_mul_gen(s), word_len + 1, nxt)
 
     visit(group.identity, 0, auto.start)

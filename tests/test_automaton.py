@@ -1,9 +1,11 @@
 """Reduced-word automaton: construction, runs, counting, export."""
 
+import gc
 import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -128,8 +130,40 @@ def test_oracle_long_words_rank5(vctx, case_vi_automaton):
         state = auto.start
         for i, s in enumerate(word):
             el = el.right_mul_gen(s)
-            state = auto.transitions[state].get(s) if state is not None else None
+            state = auto.next_state(state, s) if state is not None else None
             assert (state is not None) == (el.length() == i + 1)
+
+
+@pytest.mark.parametrize("name", ["a2", "case_v"])
+def test_letters_outside_generators_reject(vctx, name):
+    """A letter outside 0..n-1 has no edge, alone or after a valid letter:
+    it must not read into a neighbouring row of the transition table."""
+    auto = vctx.automaton_for(name)
+    n = auto.diagram.rank
+    after = auto.next_state(auto.start, 0)
+    assert after is not None
+    for bad in (n, -1):
+        assert auto.next_state(auto.start, bad) is None
+        assert auto.next_state(after, bad) is None
+        for word in [(bad,), (0, bad)]:
+            assert auto.run(word) is None
+            assert auto.accepts(word) is False
+
+
+def test_memory_per_state(vctx):
+    """The built automaton holds no container per state: its transitions
+    are one flat table of 4 bytes per (state, generator)."""
+    d = vctx.fixture("fig1_cycle5_43333")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        auto = automaton.build(d)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert auto.num_states == 3743
+    assert retained / auto.num_states < 128
 
 
 def test_case_vi_counts_match_ball(vctx, case_vi_automaton):
@@ -195,6 +229,8 @@ def test_json_roundtrip(d):
 def test_json_roundtrip_rank0():
     d = CoxeterDiagram((), ())
     auto = automaton.build(d)
+    # the table is empty, but the one state still has its row
+    assert auto.to_json().endswith('"states":[[]],"transitions":[{}]}')
     again = automaton.ReducedWordAutomaton.from_json(auto.to_json())
     assert again.diagram == d
     assert again == auto
@@ -210,6 +246,21 @@ def test_json_without_diagram_key():
     again = automaton.ReducedWordAutomaton.from_json(text, diagram=T334)
     assert again.diagram == T334
     assert again == auto
+
+
+def test_eq_reads_transitions():
+    """Two automata with the same states and edges but one other edge target
+    compare unequal."""
+    auto = automaton.build(A2)
+    payload = json.loads(auto.to_json())
+    row = payload["transitions"][0]
+    assert row == {"a": 1, "b": 2}
+    row["a"] = 2
+    other = automaton.ReducedWordAutomaton.from_json(json.dumps(payload))
+    assert other.states == auto.states
+    assert other.num_edges == auto.num_edges
+    assert other.next_state(0, 0) == 2
+    assert other != auto
 
 
 def test_json_roundtrip_case_v(vctx):
@@ -292,6 +343,20 @@ def _corrupt(d, change):
         pytest.param(lambda p: p.update(start=True), "start True", id="start-bool"),
         pytest.param(lambda p: p["states"][3].__setitem__(0, 1.5), "not an integer", id="root-id-float"),
         pytest.param(lambda p: p["states"][3].__setitem__(0, True), "not an integer", id="root-id-bool"),
+        # build writes an edge on s exactly when alpha_s is not in the state:
+        # state 1 is {alpha_a}, so an edge on a would accept "a a a", and with
+        # no edge on a from the start the reduced word "a" would reject
+        pytest.param(
+            lambda p: p["transitions"][1].update(a=0), "state 1 holds alpha_a", id="edge-on-held-root"
+        ),
+        pytest.param(
+            lambda p: p["transitions"][0].pop("a"), "state 0 lacks alpha_a", id="edge-missing"
+        ),
+        pytest.param(
+            lambda p: p["states"].__setitem__(3, p["states"][4]),
+            "state 4 repeats state 3",
+            id="states-repeated",
+        ),
         # coefficients are integer literals: int() would truncate a float, and
         # a bare string would be read digit by digit
         pytest.param(lambda p: p["roots"][0][0].__setitem__(0, "1/2"), LITERALS, id="coord-fraction"),

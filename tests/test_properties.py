@@ -264,7 +264,11 @@ def _check_build_matches_reference(d):
         got = err.info
     else:
         roots = range(len(auto.root_vectors))
-        got = [frozenset(r for r in roots if state >> r & 1) for state in auto.states], auto.transitions
+        transitions = [
+            {s: to for s in range(d.rank) if (to := auto.next_state(sid, s)) is not None}
+            for sid in range(auto.num_states)
+        ]
+        got = [frozenset(r for r in roots if state >> r & 1) for state in auto.states], transitions
     assert got == _reference_bfs(d)
 
 
