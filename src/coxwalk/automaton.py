@@ -24,6 +24,12 @@ table[sid * n + s] is the state reached from state sid on generator s, or
 -1 when s is not allowed there.  `next_state(sid, s)` reads one edge and
 answers None for a missing edge or a letter outside 0..n-1.  The table costs
 4 bytes per (state, generator) and no object per state.
+
+The two readers do only what their output needs.  `reduced_word_counts`
+walks a prefix of state ids that grows with the largest target of the rows
+walked so far, so short counts touch only the states near the start.
+`to_json` writes every transition row with one %: the simple roots a state
+holds fix its row's keys, so each held set has one row template.
 """
 
 import json
@@ -155,19 +161,32 @@ class ReducedWordAutomaton:
         return self.run(word) is not None
 
     def state_contains_simple(self, sid, s):
+        if not 0 <= s < self.rank:
+            raise IndexError(f"generator index {s} out of range")
         return bool(self.states[sid] >> self.simple_root_ids[s] & 1)
 
     def reduced_word_counts(self, k):
         """Numbers of accepted words of each length 0..k (words, not
-        elements), in one pass of the transfer matrix."""
+        elements), in one pass of the transfer matrix.
+
+        Only a prefix of state ids can carry ways: `cur` covers states
+        0..len(cur)-1, and the next step's list reaches one past the largest
+        target of those rows.  Each row is read for that bound once, when the
+        prefix first covers it, so the bound holds for any state order.  In
+        build's BFS order the list after j steps covers exactly the states
+        within j letters of the start.  Once it covers every state, a step
+        walks the whole list."""
         if k < 0:
             raise ValueError("length must be >= 0")
         table, n = self.table, self.rank
-        cur = [0] * self.num_states
+        cur = [0] * (self.start + 1)
         cur[self.start] = 1
         counts = [1]
+        read = 0
         for _ in range(k):
-            nxt = [0] * self.num_states
+            hi = len(cur)
+            nxt = [0] * max(hi, max(table[read * n : hi * n], default=-1) + 1)
+            read = hi
             for sid, ways in enumerate(cur):
                 if ways:
                     for to in table[sid * n : sid * n + n]:
@@ -209,7 +228,9 @@ class ReducedWordAutomaton:
         each state as its ascending root ids, transitions per state.
 
         The states are written from text fragments, one per value of each
-        byte of a state, to the bytes json.dumps would give."""
+        byte of a state, and the transition rows with one % from one row
+        template per set of held simple roots, to the bytes json.dumps
+        would give."""
         names = self.diagram.names
         frags = [
             [",".join(str(k + i) for i in range(8) if b >> i & 1) for b in range(256)]
@@ -234,16 +255,21 @@ class ReducedWordAutomaton:
             },
             separators=(",", ":"),
         )
-        # each row as json.dumps writes a dict of the present edges; rows are
-        # counted by state, since at rank 0 the table is empty but every
-        # state still has a row
-        table, n = self.table, self.rank
-        keys = [json.dumps(name) + ":" for name in names]
-        rows = (table[sid * n : sid * n + n] for sid in range(len(self.states)))
-        transitions = ",".join(
-            "{" + ",".join([k + str(to) for k, to in zip(keys, row) if to >= 0]) + "}"
-            for row in rows
-        )
+        # each row as json.dumps writes a dict of the present edges.  A state
+        # has an edge on s exactly when it lacks alpha_s, so the simple roots
+        # it holds fix its row's keys, and the table's edges fill the %d
+        # fields in row order.  A name may contain %, which is doubled.  Rows
+        # follow the states, since at rank 0 the table is empty but the one
+        # state still has a row.
+        fields = [json.dumps(name).replace("%", "%%") + ":%d" for name in names]
+        bits = [1 << rid for rid in self.simple_root_ids]
+        held = list(map(sum(bits).__and__, self.states))
+        templates = {
+            h: "{" + ",".join(f for f, bit in zip(fields, bits) if not h & bit) + "}"
+            for h in set(held)
+        }
+        rows = ",".join(map(templates.__getitem__, held))
+        transitions = rows % tuple(filter((0).__le__, self.table))
         return f'{head[:-1]},"states":[{states}],"transitions":[{transitions}]}}'
 
     @classmethod
@@ -265,12 +291,16 @@ class ReducedWordAutomaton:
     @classmethod
     def _from_payload(cls, payload, diagram):
         names = payload["generators"]
-        if diagram is None:
-            if "diagram" not in payload:
-                raise ValueError("automaton export has no diagram; pass diagram=")
+        if "diagram" in payload:
             # the rank-0 diagram's text is a bare newline, which a diagram
             # file may not be
-            diagram = parse_diagram(payload["diagram"]) if names else CoxeterDiagram((), ())
+            written = parse_diagram(payload["diagram"]) if names else CoxeterDiagram((), ())
+            if diagram is None:
+                diagram = written
+            elif diagram != written:
+                raise ValueError(f"export is of diagram {written!r}, not {diagram!r}")
+        elif diagram is None:
+            raise ValueError("automaton export has no diagram; pass diagram=")
         if list(diagram.names) != names:
             raise ValueError("export generators do not match the diagram")
         field = algebra.field_for(diagram)

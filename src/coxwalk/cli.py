@@ -33,11 +33,14 @@ EXIT_UNSUPPORTED = 3
 # 0..K take one transfer-matrix pass of K steps, each costing one big-integer
 # add per edge, so the build's edge count bounds K as well.
 MAX_COUNT_LENGTH = 1000
-# Largest K times edge count that `automaton --count K` accepts.  An add
-# costs more as the counts grow with K.  Among the built-in automata the
-# slowest accepted count is fig1_path5_4335 (75 206 edges) at K = 265, about
-# 1.7 s on a 2-vCPU VM; fig1_cycle5_43333 (11 207 edges) at K = 1000 takes
-# 1.1 s.  Uncapped, case_vi (273 911 edges) at K = 1000 took 76 s.
+# Largest K times edge count that `automaton --count K` accepts.  A count
+# walks only the states reached so far, but past the BFS depth that is every
+# state, so K times all edges still bounds its adds, and an add costs more as
+# the counts grow with K.  Among the built-in automata the slowest accepted
+# count is fig1_path5_4335 (75 206 edges) at K = 265: 4.0-7.6 s of counting
+# on a 2-vCPU Intel Xeon VM under Python 3.11, whose speed drifts; case_vi
+# (273 911 edges) at K = 73 counts in 2.2-3.1 s there.  Uncapped, case_vi at
+# K = 1000 took 76 s.
 MAX_COUNT_EDGE_STEPS = 20_000_000
 
 

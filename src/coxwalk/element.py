@@ -460,6 +460,8 @@ class GroupElement:
 
     def right_mul_gen(self, s):
         """w*s; its length is l(w) + 1 if w(alpha_s) is positive, else l(w) - 1."""
+        if not 0 <= s < self.group.n:
+            raise IndexError(f"generator index {s} out of range")
         el = self._child(self.group._rmul_gen(self.cols, s), s)
         if self._len is not None:
             el._len = self._len + _root_vec_sign(self.cols[s])
@@ -468,6 +470,8 @@ class GroupElement:
     def left_mul_gen(self, s):
         """s*w; its length is l(w) + 1 if w^-1(alpha_s) is positive, else l(w) - 1."""
         g = self.group
+        if not 0 <= s < g.n:
+            raise IndexError(f"generator index {s} out of range")
         el = GroupElement(g, g._lmul_gen(self.cols, s), g._rmul_gen(self.icols, s))
         if self._len is not None:
             el._len = self._len + _root_vec_sign(self.icols[s])

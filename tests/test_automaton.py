@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 import time
 import tracemalloc
 
@@ -73,6 +74,13 @@ def test_state_simple_roots_match_descents():
             assert contains == el.right_descents()
 
 
+def test_state_contains_simple_index_range():
+    auto = automaton.build(ATILDE2)
+    for s in (-1, ATILDE2.rank):
+        with pytest.raises(IndexError, match=f"generator index {s} out of range"):
+            auto.state_contains_simple(auto.start, s)
+
+
 def test_count_reduced_words():
     auto = automaton.build(I2INF)
     assert auto.count_reduced_words(0) == 1
@@ -91,6 +99,59 @@ def test_reduced_word_counts_one_pass(d):
     assert auto.reduced_word_counts(0) == [1]
     with pytest.raises(ValueError):
         auto.reduced_word_counts(-1)
+
+
+def dense_counts(auto, k):
+    """The transfer matrix over every state at every step: the reference
+    for reduced_word_counts, which walks only the states a word can reach."""
+    table, n = auto.table, auto.rank
+    cur = [0] * auto.num_states
+    cur[auto.start] = 1
+    counts = [1]
+    for _ in range(k):
+        nxt = [0] * auto.num_states
+        for sid, ways in enumerate(cur):
+            if ways:
+                for to in table[sid * n : sid * n + n]:
+                    if to >= 0:
+                        nxt[to] += ways
+        cur = nxt
+        counts.append(sum(cur))
+    return counts
+
+
+# K = 40 is past the BFS depth of each; a2's counts reach 0 at length 4
+@pytest.mark.parametrize("name", ["i2inf", "a2", "triangle_334", "case_v", "fig1_cycle5_43333"])
+def test_counts_match_dense_reference(vctx, name):
+    auto = vctx.automaton_for(name)
+    assert auto.reduced_word_counts(40) == dense_counts(auto, 40)
+
+
+def _permuted(auto, seed):
+    """An export of auto with its state ids shuffled, start moved off 0."""
+    payload = json.loads(auto.to_json())
+    count = auto.num_states
+    new_id = list(range(count))
+    random.Random(seed).shuffle(new_id)
+    if new_id[auto.start] == 0:
+        new_id.reverse()
+    old_id = sorted(range(count), key=new_id.__getitem__)
+    rows = payload["transitions"]
+    payload["states"] = [payload["states"][sid] for sid in old_id]
+    payload["transitions"] = [{s: new_id[to] for s, to in rows[sid].items()} for sid in old_id]
+    payload["start"] = new_id[auto.start]
+    return automaton.ReducedWordAutomaton.from_json(json.dumps(payload))
+
+
+def test_counts_on_permuted_state_ids(vctx):
+    """The reached prefix is bounded from the targets read, so it holds for
+    states in any order, not only build's breadth-first one."""
+    auto = vctx.automaton_for("case_v")
+    shuffled = _permuted(auto, seed=3)
+    assert shuffled.start != 0
+    assert shuffled.states != auto.states
+    expected = auto.reduced_word_counts(40)
+    assert shuffled.reduced_word_counts(40) == dense_counts(shuffled, 40) == expected
 
 
 @pytest.mark.parametrize("d", [ATILDE2, T334])
@@ -291,6 +352,40 @@ def test_json_schema_v2():
     assert payload["transitions"][0] == {"a": 1, "b": 2}
 
 
+def test_json_export_unusual_names():
+    """Rows are filled in by one % from templates keyed by json.dumps of
+    each name, so a % in a name must be doubled there; quotes, backslashes,
+    braces and non-ASCII letters must come out as json.dumps writes them."""
+    names = ("a%d", 'b"%s', "c\\{", "é%")
+    labels = [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]
+    d = CoxeterDiagram(names, labels)
+    auto = automaton.build(d)
+    roots = range(len(auto.root_vectors))
+    payload = {
+        "format": "coxwalk-automaton",
+        "version": 2,
+        "generators": list(names),
+        "diagram": d.to_text(),
+        "field": {"L": auto.field.L, "minpoly": list(auto.field.minpoly)},
+        "start": auto.start,
+        "roots": [[[str(x) for x in e.nums] for e in vec] for vec in auto.root_vectors],
+        "states": [[r for r in roots if state >> r & 1] for state in auto.states],
+        "transitions": [
+            {
+                name: to
+                for s, name in enumerate(names)
+                if (to := auto.next_state(sid, s)) is not None
+            }
+            for sid in range(auto.num_states)
+        ],
+    }
+    text = auto.to_json()
+    assert text == json.dumps(payload, separators=(",", ":"))
+    again = automaton.ReducedWordAutomaton.from_json(text)
+    assert again.diagram == d
+    assert again == auto
+
+
 # Size and SHA-256 of the schema-v2 export of five fixtures.  Root
 # coordinates are written as decimal integers in the canonical root order, so
 # a change to the field layer's representation or to that order shows here.
@@ -322,58 +417,94 @@ def _corrupt(d, change):
 
 
 @pytest.mark.parametrize(
-    "change, message",
+    "change, message, diagram",
     [
-        pytest.param(lambda p: p.pop("version"), "version None", id="missing-version"),
-        pytest.param(lambda p: p.update(version=1), "version 1", id="version-1"),
+        pytest.param(lambda p: p.pop("version"), "version None", None, id="missing-version"),
+        pytest.param(lambda p: p.update(version=1), "version 1", None, id="version-1"),
         pytest.param(
-            lambda p: p["states"][3].append(len(p["roots"])), "root id outside", id="root-id-too-large"
+            lambda p: p["states"][3].append(len(p["roots"])),
+            "root id outside",
+            None,
+            id="root-id-too-large",
         ),
-        pytest.param(lambda p: p["states"][3].insert(0, -1), "root id outside", id="root-id-negative"),
-        pytest.param(lambda p: p["roots"].reverse(), "canonical order", id="roots-out-of-order"),
         pytest.param(
-            lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", id="roots-repeated"
+            lambda p: p["states"][3].insert(0, -1), "root id outside", None, id="root-id-negative"
         ),
-        pytest.param(lambda p: p["transitions"][0].update(z=1), "unknown generator", id="unknown-label"),
+        pytest.param(lambda p: p["roots"].reverse(), "canonical order", None, id="roots-out-of-order"),
+        pytest.param(
+            lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", None, id="roots-repeated"
+        ),
+        pytest.param(
+            lambda p: p["transitions"][0].update(z=1), "unknown generator", None, id="unknown-label"
+        ),
         # ids, targets and start are plain ints: JSON true is not 1, and a
         # float target would only fail later, in a run
-        pytest.param(lambda p: p["transitions"][0].update(a=1.5), "target 1.5", id="target-float"),
-        pytest.param(lambda p: p["transitions"][0].update(a=True), "target True", id="target-bool"),
-        pytest.param(lambda p: p.update(start=0.5), "start 0.5", id="start-float"),
-        pytest.param(lambda p: p.update(start=True), "start True", id="start-bool"),
-        pytest.param(lambda p: p["states"][3].__setitem__(0, 1.5), "not an integer", id="root-id-float"),
-        pytest.param(lambda p: p["states"][3].__setitem__(0, True), "not an integer", id="root-id-bool"),
+        pytest.param(
+            lambda p: p["transitions"][0].update(a=1.5), "target 1.5", None, id="target-float"
+        ),
+        pytest.param(
+            lambda p: p["transitions"][0].update(a=True), "target True", None, id="target-bool"
+        ),
+        pytest.param(lambda p: p.update(start=0.5), "start 0.5", None, id="start-float"),
+        pytest.param(lambda p: p.update(start=True), "start True", None, id="start-bool"),
+        pytest.param(
+            lambda p: p["states"][3].__setitem__(0, 1.5), "not an integer", None, id="root-id-float"
+        ),
+        pytest.param(
+            lambda p: p["states"][3].__setitem__(0, True), "not an integer", None, id="root-id-bool"
+        ),
         # build writes an edge on s exactly when alpha_s is not in the state:
         # state 1 is {alpha_a}, so an edge on a would accept "a a a", and with
         # no edge on a from the start the reduced word "a" would reject
         pytest.param(
-            lambda p: p["transitions"][1].update(a=0), "state 1 holds alpha_a", id="edge-on-held-root"
+            lambda p: p["transitions"][1].update(a=0),
+            "state 1 holds alpha_a",
+            None,
+            id="edge-on-held-root",
         ),
         pytest.param(
-            lambda p: p["transitions"][0].pop("a"), "state 0 lacks alpha_a", id="edge-missing"
+            lambda p: p["transitions"][0].pop("a"), "state 0 lacks alpha_a", None, id="edge-missing"
         ),
         pytest.param(
             lambda p: p["states"].__setitem__(3, p["states"][4]),
             "state 4 repeats state 3",
+            None,
             id="states-repeated",
         ),
         # coefficients are integer literals: int() would truncate a float, and
         # a bare string would be read digit by digit
-        pytest.param(lambda p: p["roots"][0][0].__setitem__(0, "1/2"), LITERALS, id="coord-fraction"),
-        pytest.param(lambda p: p["roots"][0][0].__setitem__(0, 1.5), LITERALS, id="coord-float"),
-        pytest.param(lambda p: p["roots"][0][0].__setitem__(0, True), LITERALS, id="coord-bool"),
-        pytest.param(lambda p: p["roots"][0].__setitem__(0, "10"), LITERALS, id="coord-string"),
+        pytest.param(
+            lambda p: p["roots"][0][0].__setitem__(0, "1/2"), LITERALS, None, id="coord-fraction"
+        ),
+        pytest.param(
+            lambda p: p["roots"][0][0].__setitem__(0, 1.5), LITERALS, None, id="coord-float"
+        ),
+        pytest.param(
+            lambda p: p["roots"][0][0].__setitem__(0, True), LITERALS, None, id="coord-bool"
+        ),
+        pytest.param(
+            lambda p: p["roots"][0].__setitem__(0, "10"), LITERALS, None, id="coord-string"
+        ),
         # an export over Q(2cos(pi/12)), the lcm of all of triangle_334's labels
         pytest.param(
             lambda p: p.update(field={"L": 12, "minpoly": [1, 0, -4, 0, 1]}),
             "L = 12, but the diagram's field has L = 4",
+            None,
             id="other-field",
+        ),
+        # an unchanged export read with diagram= naming another diagram on the
+        # same generators and field: its automaton would accept other words
+        pytest.param(
+            lambda p: None,
+            "export is of diagram .* not CoxeterDiagram",
+            parse_diagram("a b c; a-b:4 b-c"),
+            id="other-diagram",
         ),
     ],
 )
-def test_from_json_rejects(change, message):
+def test_from_json_rejects(change, message, diagram):
     with pytest.raises(ValueError, match=message):
-        automaton.ReducedWordAutomaton.from_json(_corrupt(T334, change))
+        automaton.ReducedWordAutomaton.from_json(_corrupt(T334, change), diagram=diagram)
 
 
 def test_export_unknown_format():

@@ -50,6 +50,21 @@ def test_word_index_range():
             g.is_reduced(word)
 
 
+def test_generator_index_range():
+    """A generator index outside 0..n-1 raises the same IndexError that
+    element_of does: -1 must not wrap round to the last generator."""
+    g = group_for(ATILDE2)
+    w = g.element_of((0, 1))
+    for s in (-1, g.n):
+        message = f"generator index {s} out of range"
+        for act in (g.generator, w.right_mul_gen, w.left_mul_gen):
+            with pytest.raises(IndexError, match=message):
+                act(s)
+        for call in (g.element_of, g.is_reduced, g.braid_closure):
+            with pytest.raises(IndexError, match=message):
+                call((0, s))
+
+
 def test_is_reduced():
     g = group_for(T334)
     assert g.is_reduced(())

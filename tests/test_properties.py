@@ -257,19 +257,35 @@ def _reference_bfs(d):
     return states, transitions
 
 
+def _dense_counts(transitions, k):
+    """Words of each length 0..k from state 0, over every state at every step."""
+    cur = [1] + [0] * (len(transitions) - 1)
+    counts = [1]
+    for _ in range(k):
+        nxt = [0] * len(transitions)
+        for ways, trans in zip(cur, transitions):
+            for to in trans.values():
+                nxt[to] += ways
+        cur = nxt
+        counts.append(sum(cur))
+    return counts
+
+
 def _check_build_matches_reference(d):
+    expected = _reference_bfs(d)
     try:
         auto = automaton.build(d, cap=STATE_CAP)
     except automaton.StateCapExceededError as err:
-        got = err.info
-    else:
-        roots = range(len(auto.root_vectors))
-        transitions = [
-            {s: to for s in range(d.rank) if (to := auto.next_state(sid, s)) is not None}
-            for sid in range(auto.num_states)
-        ]
-        got = [frozenset(r for r in roots if state >> r & 1) for state in auto.states], transitions
-    assert got == _reference_bfs(d)
+        assert err.info == expected
+        return
+    roots = range(len(auto.root_vectors))
+    transitions = [
+        {s: to for s in range(d.rank) if (to := auto.next_state(sid, s)) is not None}
+        for sid in range(auto.num_states)
+    ]
+    got = [frozenset(r for r in roots if state >> r & 1) for state in auto.states], transitions
+    assert got == expected
+    assert auto.reduced_word_counts(12) == _dense_counts(expected[1], 12)
 
 
 @SETTINGS
