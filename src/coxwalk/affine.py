@@ -177,7 +177,7 @@ def phi_leq(a, b):
 def alcove_coords(datum, word):
     """Alcove vector of the element spelled by `word` over the affine
     generators (0..rank-1 the simple reflections, rank for s_0), as a tuple
-    over `datum.positive_roots`.
+    over `datum.positive_roots`.  A letter outside 0..rank raises IndexError.
 
     The element is kept as w = t_lam u: lam by its pairings <lam, alpha_j>
     with the simple roots, u by the images u^-1(alpha_j).  Letters act as
@@ -189,6 +189,9 @@ def alcove_coords(datum, word):
     lam = [0] * datum.rank
     inv = list(datum.simple_roots)
     for s in word:
+        # a bare index would read letter -1 as the last simple reflection
+        if not 0 <= s <= datum.rank:
+            raise IndexError(f"generator index {s} out of range")
         if s == datum.rank:
             lam = [l + datum._coroot_pairing(b, theta) for l, b in zip(lam, inv)]
             beta = theta

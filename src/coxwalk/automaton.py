@@ -3,26 +3,30 @@
 States are sets of positive roots built by the recursion: the start state
 is empty, and reading s from state D (allowed when alpha_s is not in D)
 leads to {alpha_s} union {s(beta) : beta in D, -1 < (beta|alpha_s) < 1}.
-All root coordinates and form values are exact, so state identity is
+Every root coordinate and form value lies in Z[c], c = 2cos(pi/L), and is
+held as its tuple of integer coefficients, so state identity is
 structural.  Paths from the start state spell exactly the reduced words;
 this is validated against the group engine rather than assumed.
 
 The build has two phases.  Phase 1 closes the simple roots under the
 admissible step; the closure is the finite set of elementary roots of
 Brink and Howlett (Math. Ann. 296, 1993), sorted once into a canonical
-order (lexicographic on the integer coefficient vectors) and tabulated as
-step[s][root].  Phase 2 runs the state BFS with each state a Python int
-whose bit i marks root i, so state contents, exports and state indices are
-deterministic.  Since s acts on each root separately, the images of a state
-under every generator are the OR of its roots' images; one table per state
-byte packs them into one int, generator s in bits s*w .. s*w+w-1 with w the
-number of roots, so each state costs one table pass and each edge a shift
-and a mask.
+order (lexicographic on the integer coefficient tuples) and tabulated as
+step[s][root].  A root is one integer tuple per simple-root coordinate,
+and a value is wrapped in an AlgReal only where its sign must be decided.
+Phase 2 runs the state BFS with each state a Python int whose bit i marks
+root i, so state contents, exports and state indices are deterministic.
+Since s acts on each root separately, the images of a state under every
+generator are the OR of its roots' images; one table per state byte packs
+them into one int, generator s in bits s*w .. s*w+w-1 with w the number of
+roots, so each state costs one table pass and each edge a shift and a
+mask.
 
 The transitions are one flat array("i") of n entries per state, n the rank:
 table[sid * n + s] is the state reached from state sid on generator s, or
 -1 when s is not allowed there.  `next_state(sid, s)` reads one edge and
-answers None for a missing edge or a letter outside 0..n-1.  The table costs
+answers None for a missing edge or a letter outside 0..n-1; a state id
+outside 0..num_states-1 raises IndexError.  The table costs
 4 bytes per (state, generator) and no object per state.
 
 The two readers do only what their output needs.  `reduced_word_counts`
@@ -30,10 +34,13 @@ walks a prefix of state ids that grows with the largest target of the rows
 walked so far, so short counts touch only the states near the start.
 `to_json` writes every transition row with one %: the simple roots a state
 holds fix its row's keys, so each held set has one row template.
+
+`from_json` takes the root table from phase 1 for the export's diagram and
+refuses an export whose `roots` differ from that table as `to_json` writes
+it, so the table of an export always belongs to its diagram.
 """
 
 import json
-import re
 from array import array
 from functools import reduce
 from itertools import chain
@@ -43,7 +50,7 @@ from . import _kernel as K
 from . import algebra
 from .algebra import AlgReal
 from .diagram import CoxeterDiagram, parse_diagram
-from .element import CapExceededError, MixedSignRootError, _root_vec_sign
+from .element import CapExceededError, MixedSignRootError
 
 DEFAULT_STATE_CAP = 200000
 EXPORT_VERSION = 2
@@ -60,27 +67,9 @@ class StateCapExceededError(CapExceededError):
     """The state BFS hit the cap before closing."""
 
 
-# how to_json writes a coordinate: str() of an int
-_INT_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _root_key(vec):
-    """Identity and canonical order of a root: its integer coefficient vectors."""
-    return tuple(e.nums for e in vec)
-
-
-def _coefficients(coord):
-    """A root coordinate as to_json writes it: a list of integer literals."""
-    if not isinstance(coord, list) or not all(
-        isinstance(c, str) and _INT_LITERAL.fullmatch(c) for c in coord
-    ):
-        raise ValueError(f"root coordinate {coord!r} is not a list of integer literals")
-    return [int(c) for c in coord]
-
-
-def _simple_roots(field, n):
-    zero, one = field.zero, field.one
-    return [tuple(one if i == s else zero for i in range(n)) for s in range(n)]
+def _written_roots(vectors):
+    """The root table as to_json writes it: each coefficient as a decimal string."""
+    return [[[str(x) for x in coord] for coord in vec] for vec in vectors]
 
 
 def _mask(ids):
@@ -108,7 +97,9 @@ class ReducedWordAutomaton:
     """Deterministic automaton; every state is accepting, missing
     transitions reject.
 
-    `root_vectors` is the canonically ordered root table and each entry of
+    `root_vectors` is the canonically ordered root table: each root is a
+    tuple of n coordinates, each coordinate the tuple of its integer
+    coefficients in the basis 1, c, c^2, ... of the field.  Each entry of
     `states` is an int whose bit i marks root i of that table.  The table
     may hold elementary roots that no state uses.  `table` is the flat
     transition table: `table[sid * n + s]` is the target of the edge on s
@@ -134,9 +125,16 @@ class ReducedWordAutomaton:
     def num_edges(self):
         return len(self.table) - self.table.count(-1)
 
+    def _check_state(self, sid):
+        # a negative id would read a state or row from the end
+        if not 0 <= sid < len(self.states):
+            raise IndexError(f"state {sid} out of range")
+
     def next_state(self, sid, s):
         """The state reached from state sid on generator s, or None when
-        there is no edge (a letter outside 0..n-1 has none)."""
+        there is no edge (a letter outside 0..n-1 has none).  A state id
+        outside 0..num_states-1 raises IndexError."""
+        self._check_state(sid)
         n = self.rank
         if not 0 <= s < n:
             return None
@@ -161,6 +159,7 @@ class ReducedWordAutomaton:
         return self.run(word) is not None
 
     def state_contains_simple(self, sid, s):
+        self._check_state(sid)
         if not 0 <= s < self.rank:
             raise IndexError(f"generator index {s} out of range")
         return bool(self.states[sid] >> self.simple_root_ids[s] & 1)
@@ -204,11 +203,10 @@ class ReducedWordAutomaton:
 
     def canonical_form(self):
         if self._canon is None:
-            roots = tuple(_root_key(vec) for vec in self.root_vectors)
             self._canon = (
                 self.diagram.names,
                 self.field.L,
-                roots,
+                self.root_vectors,
                 tuple(self.states),
                 self.start,
                 self.table.tobytes(),
@@ -249,9 +247,7 @@ class ReducedWordAutomaton:
                 "diagram": self.diagram.to_text(),
                 "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
                 "start": self.start,
-                "roots": [
-                    [[str(x) for x in e.nums] for e in vec] for vec in self.root_vectors
-                ],
+                "roots": _written_roots(self.root_vectors),
             },
             separators=(",", ":"),
         )
@@ -311,21 +307,10 @@ class ReducedWordAutomaton:
             )
         if list(field.minpoly) != payload["field"]["minpoly"]:
             raise ValueError("minimal polynomial mismatch in automaton export")
-        n = len(names)
 
-        vectors = tuple(
-            tuple(field.element(_coefficients(coord)) for coord in root)
-            for root in payload["roots"]
-        )
-        if any(len(vec) != n for vec in vectors):
-            raise ValueError(f"root table holds a vector whose length is not {n}")
-        keys = [_root_key(vec) for vec in vectors]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("root table is not strictly increasing in canonical order")
-        index = {key: rid for rid, key in enumerate(keys)}
-        simple_ids = tuple(index.get(_root_key(vec)) for vec in _simple_roots(field, n))
-        if None in simple_ids:
-            raise ValueError("root table lacks a simple root")
+        vectors, simple_ids, _ = _root_table(diagram, field)
+        if payload["roots"] != _written_roots(vectors):
+            raise ValueError("root table is not the elementary roots of the diagram")
 
         nroots = len(vectors)
         # ids, targets and start are plain ints: JSON true would read as 1,
@@ -413,30 +398,30 @@ def _root_table(diagram, field):
     # the Gram matrix is symmetric, so its rows are its columns
     gram_cols = [[e.nums for e in row] for row in gram]
 
-    vectors = _simple_roots(field, n)
-    ids = {_root_key(vec): rid for rid, vec in enumerate(vectors)}
+    zero, one = field.zero.nums, field.one.nums
+    vectors = [tuple(one if i == s else zero for i in range(n)) for s in range(n)]
+    ids = {vec: rid for rid, vec in enumerate(vectors)}
     raw_step = [[] for _ in range(n)]
     # vectors grows while it is walked: a breadth-first closure
     for beta in vectors:
-        beta_nums = [e.nums for e in beta]
         for s in range(n):
-            y = AlgReal(field, K.dot_mod(beta_nums, gram_cols[s], mp))
-            if (two - y).sign() <= 0 or (two + y).sign() <= 0:
+            y = K.dot_mod(beta, gram_cols[s], mp)
+            form = AlgReal(field, y)
+            if (two - form).sign() <= 0 or (two + form).sign() <= 0:
                 raw_step[s].append(-1)
                 continue
-            img = list(beta)
-            img[s] = beta[s] - y
-            img = tuple(img)
-            if _root_vec_sign(img) != 1:
+            coord = tuple([b - x for b, x in zip(beta[s], y)])
+            # beta is positive and its image differs from it only in coordinate s
+            if AlgReal(field, coord).sign() < 0:
                 raise MixedSignRootError("reflected root is not positive")
-            key = _root_key(img)
-            rid = ids.get(key)
+            img = beta[:s] + (coord,) + beta[s + 1 :]
+            rid = ids.get(img)
             if rid is None:
-                rid = ids[key] = len(vectors)
+                rid = ids[img] = len(vectors)
                 vectors.append(img)
             raw_step[s].append(rid)
 
-    order = sorted(range(len(vectors)), key=lambda r: _root_key(vectors[r]))
+    order = sorted(range(len(vectors)), key=vectors.__getitem__)
     new_id = [0] * len(vectors)
     for pos, rid in enumerate(order):
         new_id[rid] = pos

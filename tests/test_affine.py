@@ -88,6 +88,16 @@ def test_alcove_coords_identity_and_generators():
     assert sum(abs(x) for x in v0) == 1
 
 
+def test_alcove_coords_letter_out_of_range():
+    """Letters are 0..rank, slot rank being s_0: -1 must not read as the
+    last simple reflection."""
+    datum = affine.root_datum("A2")
+    for s in (-1, datum.rank + 1):
+        for word in [(s,), (0, s)]:
+            with pytest.raises(IndexError, match=f"generator index {s} out of range"):
+                affine.alcove_coords(datum, word)
+
+
 # Root order, affine labels and the alcove vectors of 40 seeded words per
 # type (lengths 0-30, no letter twice in a row), computed independently by
 # reflecting a rational point inside the fundamental alcove in ambient

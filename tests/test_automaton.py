@@ -81,6 +81,21 @@ def test_state_contains_simple_index_range():
             auto.state_contains_simple(auto.start, s)
 
 
+def test_state_ids_out_of_range():
+    """A state id outside 0..num_states-1 raises: -1 must not read the last
+    state or row.  A bad letter keeps its own answer."""
+    auto = automaton.build(parse_diagram("a b; a-b:4"))
+    for sid in (-1, auto.num_states):
+        with pytest.raises(IndexError, match=f"state {sid} out of range"):
+            auto.next_state(sid, 0)
+        with pytest.raises(IndexError, match=f"state {sid} out of range"):
+            auto.state_contains_simple(sid, 0)
+    last = auto.num_states - 1
+    assert auto.next_state(last, 2) is None
+    with pytest.raises(IndexError, match="generator index 2 out of range"):
+        auto.state_contains_simple(last, 2)
+
+
 def test_count_reduced_words():
     auto = automaton.build(I2INF)
     assert auto.count_reduced_words(0) == 1
@@ -368,7 +383,7 @@ def test_json_export_unusual_names():
         "diagram": d.to_text(),
         "field": {"L": auto.field.L, "minpoly": list(auto.field.minpoly)},
         "start": auto.start,
-        "roots": [[[str(x) for x in e.nums] for e in vec] for vec in auto.root_vectors],
+        "roots": [[[str(x) for x in e] for e in vec] for vec in auto.root_vectors],
         "states": [[r for r in roots if state >> r & 1] for state in auto.states],
         "transitions": [
             {
@@ -407,7 +422,9 @@ def test_json_export_bytes_pinned(vctx, name):
     assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == EXPORT_DIGESTS[name]
 
 
-LITERALS = "not a list of integer literals"
+# from_json recomputes the root table for the diagram and compares it with
+# the written one
+NOT_ROOTS = "root table is not the elementary roots of the diagram"
 
 
 def _corrupt(d, change):
@@ -430,9 +447,9 @@ def _corrupt(d, change):
         pytest.param(
             lambda p: p["states"][3].insert(0, -1), "root id outside", None, id="root-id-negative"
         ),
-        pytest.param(lambda p: p["roots"].reverse(), "canonical order", None, id="roots-out-of-order"),
+        pytest.param(lambda p: p["roots"].reverse(), NOT_ROOTS, None, id="roots-out-of-order"),
         pytest.param(
-            lambda p: p["roots"].insert(1, p["roots"][1]), "canonical order", None, id="roots-repeated"
+            lambda p: p["roots"].insert(1, p["roots"][1]), NOT_ROOTS, None, id="roots-repeated"
         ),
         pytest.param(
             lambda p: p["transitions"][0].update(z=1), "unknown generator", None, id="unknown-label"
@@ -471,19 +488,19 @@ def _corrupt(d, change):
             None,
             id="states-repeated",
         ),
-        # coefficients are integer literals: int() would truncate a float, and
-        # a bare string would be read digit by digit
+        # coefficients are written as decimal strings: a fraction, a float, a
+        # bool or a bare string is not one
         pytest.param(
-            lambda p: p["roots"][0][0].__setitem__(0, "1/2"), LITERALS, None, id="coord-fraction"
+            lambda p: p["roots"][0][0].__setitem__(0, "1/2"), NOT_ROOTS, None, id="coord-fraction"
         ),
         pytest.param(
-            lambda p: p["roots"][0][0].__setitem__(0, 1.5), LITERALS, None, id="coord-float"
+            lambda p: p["roots"][0][0].__setitem__(0, 1.5), NOT_ROOTS, None, id="coord-float"
         ),
         pytest.param(
-            lambda p: p["roots"][0][0].__setitem__(0, True), LITERALS, None, id="coord-bool"
+            lambda p: p["roots"][0][0].__setitem__(0, True), NOT_ROOTS, None, id="coord-bool"
         ),
         pytest.param(
-            lambda p: p["roots"][0].__setitem__(0, "10"), LITERALS, None, id="coord-string"
+            lambda p: p["roots"][0].__setitem__(0, "10"), NOT_ROOTS, None, id="coord-string"
         ),
         # an export over Q(2cos(pi/12)), the lcm of all of triangle_334's labels
         pytest.param(
@@ -491,6 +508,12 @@ def _corrupt(d, change):
             "L = 12, but the diagram's field has L = 4",
             None,
             id="other-field",
+        ),
+        # the diagram text swapped for another on the same generators and
+        # field, with no diagram= to catch it: the written roots are
+        # triangle_334's, whose automaton rejects the reduced word a b a b
+        pytest.param(
+            lambda p: p.update(diagram="a b c; a-b:4 b-c"), NOT_ROOTS, None, id="other-diagram-text"
         ),
         # an unchanged export read with diagram= naming another diagram on the
         # same generators and field: its automaton would accept other words
