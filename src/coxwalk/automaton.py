@@ -43,7 +43,7 @@ it, so the table of an export always belongs to its diagram.
 import json
 from array import array
 from functools import reduce
-from itertools import chain
+from itertools import chain, cycle, repeat
 from operator import getitem, or_
 
 from . import _kernel as K
@@ -225,20 +225,22 @@ class ReducedWordAutomaton:
         """Export schema version 2 as compact JSON: the root table once,
         each state as its ascending root ids, transitions per state.
 
-        The states are written from text fragments, one per value of each
-        byte of a state, and the transition rows with one % from one row
-        template per set of held simple roots, to the bytes json.dumps
-        would give."""
+        The states are written from one blob of their bytes, each byte
+        looked up in a table of text fragments, and the transition rows with
+        one % from one row template per set of held simple roots, to the
+        bytes json.dumps would give."""
         names = self.diagram.names
+        # a fragment per value of each byte of a state, every id with a
+        # leading comma; one extra byte per state, always 0, closes the
+        # state and opens the next, and "[," then drops each first comma
         frags = [
-            [",".join(str(k + i) for i in range(8) if b >> i & 1) for b in range(256)]
+            ["".join(f",{k + i}" for i in range(8) if b >> i & 1) for b in range(256)]
             for k in range(0, len(self.root_vectors), 8)
         ]
         nbytes = len(frags)
-        states = ",".join(
-            "[" + ",".join(filter(None, map(getitem, frags, state.to_bytes(nbytes, "little")))) + "]"
-            for state in self.states
-        )
+        frags.append(["],["])
+        blob = b"".join(map(int.to_bytes, self.states, repeat(nbytes + 1), repeat("little")))
+        states = ("[" + "".join(map(getitem, cycle(frags), blob))[:-2]).replace("[,", "[")
         head = json.dumps(
             {
                 "format": "coxwalk-automaton",

@@ -328,7 +328,7 @@ def build_parser():
     p = sub.add_parser("verify-paper", help="run every recorded fact check")
     p.add_argument("--json", action="store_true")
     p.add_argument("--fixtures", help="override the built-in diagram fixtures")
-    p.add_argument("--only", nargs="*", help="filter checks by prefix or criterion number")
+    p.add_argument("--only", nargs="+", help="filter checks by prefix or criterion number")
     p.set_defaults(fn=cmd_verify_paper)
 
     return parser

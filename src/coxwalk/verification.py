@@ -262,25 +262,38 @@ def check_classify_named(ctx):
 # criterion 5: automaton acceptance matches the reducedness oracle
 
 def _oracle_exhaustive(d, auto, max_len):
-    """Walk the full prefix tree of words; compare acceptance with lengths."""
+    """Judge every word of length <= max_len: accepted iff reduced.
+
+    Words are counted by class, one length at a time: the words of length
+    k that reach the element el and the automaton state q (None once an
+    edge is missing) form the class (el, q).  Every word in a class gets
+    the same verdict, reduced iff l(el) = k and accepted iff q is not None,
+    and its extensions by s all land in the class (el*s, q on s).  So the
+    counts judge each word exactly as the full prefix tree would, with one
+    generator step per element and letter instead of one per word.  One
+    mismatch entry is recorded per word, in length order."""
     group = group_for(d)
     mismatches = []
-    checked = [0]
-
-    def visit(el, word_len, state):
-        checked[0] += 1
-        accepted = state is not None
-        reduced = el.length() == word_len
-        if accepted != reduced:
-            mismatches.append({"length": word_len, "accepted": accepted})
-        if word_len == max_len:
-            return
-        for s in range(d.rank):
-            nxt = auto.next_state(state, s) if state is not None else None
-            visit(el.right_mul_gen(s), word_len + 1, nxt)
-
-    visit(group.identity, 0, auto.start)
-    return checked[0], mismatches
+    checked = 0
+    level = {group.identity: {auto.start: 1}}
+    for k in range(max_len + 1):
+        below = {}
+        for el, classes in level.items():
+            reduced = el.length() == k
+            for state, count in classes.items():
+                checked += count
+                accepted = state is not None
+                if accepted != reduced:
+                    mismatches.extend({"length": k, "accepted": accepted} for _ in range(count))
+            if k == max_len:
+                continue
+            for s in range(d.rank):
+                row = below.setdefault(el.right_mul_gen(s), {})
+                for state, count in classes.items():
+                    to = auto.next_state(state, s) if state is not None else None
+                    row[to] = row.get(to, 0) + count
+        level = below
+    return checked, mismatches
 
 
 def _oracle_random(d, auto, max_len, samples, seed):
@@ -371,7 +384,11 @@ def check_growth_counts(ctx):
 
 def check_same_length_incomparable(ctx):
     """Distinct same-length elements are incomparable; checked from the raw
-    length formula, not the short-circuit in weak_leq."""
+    length formula, not the short-circuit in weak_leq.
+
+    Both directions are evaluated.  w^-1 v is the inverse of x = v^-1 w, so
+    it is taken as x.inverse(), which swaps x's two matrices and carries
+    l(x^-1) = l(x): one element product and one walk per pair, not two."""
     failures = []
     pairs = 0
     for name in ("affine_a2", "i2inf", "triangle_334"):
@@ -382,9 +399,10 @@ def check_same_length_incomparable(ctx):
             for i, v in enumerate(level):
                 for w in level[i + 1 :]:
                     pairs += 2
+                    x = v.inverse() * w
                     if (
-                        v.length() + (v.inverse() * w).length() == w.length()
-                        or w.length() + (w.inverse() * v).length() == v.length()
+                        v.length() + x.length() == w.length()
+                        or w.length() + x.inverse().length() == v.length()
                     ):
                         failures.append({"diagram": name, "v": v.word_str(), "w": w.word_str()})
     return not failures, {"pairs_checked": pairs, "failures": failures[:5]}

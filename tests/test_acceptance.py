@@ -6,11 +6,14 @@ wall-clock budget, asserted against the sum of its checks.
 """
 
 import json
+from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from coxwalk import verification
+from coxwalk.automaton import ReducedWordAutomaton
 
 # The details of all 25 checks, JSON-normalized: the measured values behind
 # each verdict.  A change to any of them is a change to a reproduced fact.
@@ -65,3 +68,32 @@ def test_every_registered_check_passed(results):
 def test_details_match_pinned_values(results):
     details = {r.check_id: json.loads(json.dumps(r.details, default=str)) for r in results}
     assert details == EXPECTED_DETAILS
+
+
+# Corruptions of the triangle_334 automaton's transition table: (entry,
+# new value) -> mismatches per (length, accepted) over the 9841 words of
+# length <= 8.  Entry 9 (state 3 on a) is an edge, dropped; entry 3
+# (state 1 on a) is the first missing edge, added with the start state as
+# its target.
+CORRUPTED_TABLES = {
+    (9, -1): {(2, False): 1, (3, False): 2, (4, False): 4, (5, False): 6,
+              (6, False): 10, (7, False): 16, (8, False): 27},
+    (3, 0): {(2, True): 1, (3, True): 3, (4, True): 7, (5, True): 15,
+             (6, True): 27, (7, True): 49, (8, True): 83},
+}
+
+
+@pytest.mark.parametrize("entry, value", sorted(CORRUPTED_TABLES))
+def test_exhaustive_oracle_catches_a_corrupted_table(vctx, entry, value):
+    d = vctx.fixture("triangle_334")
+    auto = vctx.automaton_for("triangle_334")
+    table = array("i", auto.table)
+    table[entry] = value
+    bad = ReducedWordAutomaton(
+        auto.diagram, auto.field, auto.root_vectors, auto.states, table, auto.simple_root_ids
+    )
+    checked, mismatches = verification._oracle_exhaustive(d, bad, 8)
+    assert checked == 9841
+    expected = CORRUPTED_TABLES[entry, value]
+    assert len(mismatches) == sum(expected.values())  # 66 dropped, 185 added
+    assert Counter((m["length"], m["accepted"]) for m in mismatches) == expected

@@ -348,6 +348,16 @@ def test_verify_paper_bad_filter(capsys):
     assert code == 2
 
 
+def test_verify_paper_only_needs_a_prefix(capsys):
+    # an empty filter would otherwise match every check and pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--only", "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--only: expected at least one argument" in captured.err
+
+
 def test_verify_paper_negative_control(capsys, tmp_path):
     """A corrupted rank-5 fixture must flip the exact facts to FAIL."""
     corrupt = tmp_path / "fixtures"

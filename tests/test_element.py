@@ -215,6 +215,19 @@ def test_same_length_elements_incomparable():
                 assert v.length() + (v.inverse() * w).length() != w.length()
 
 
+@pytest.mark.parametrize("d", [ATILDE2, I2INF, T334])
+def test_reversed_quotient_is_the_inverse(d):
+    """w^-1 v equals (v^-1 w)^-1, and the two have the same walked length:
+    the identity behind the same-length check's second direction."""
+    ball = group_for(d).ball(4)
+    for k in range(len(ball.counts)):
+        for v, w in itertools.combinations(ball.of_length(k), 2):
+            direct = w.inverse() * v
+            swapped = (v.inverse() * w).inverse()
+            assert direct == swapped
+            assert direct.length() == swapped.length()
+
+
 def test_reduced_expressions_examples():
     g = group_for(CASE_V)
     assert g.reduced_expressions(g.identity) == [()]
