@@ -35,15 +35,15 @@ walked so far, so short counts touch only the states near the start.
 `to_json` writes every transition row with one %: the simple roots a state
 holds fix its row's keys, so each held set has one row template.
 
-`from_json` takes the root table from phase 1 for the export's diagram and
-refuses an export whose `roots` differ from that table as `to_json` writes
-it, so the table of an export always belongs to its diagram.
+Both phases are deterministic, so the one automaton an export may describe
+is the build of its diagram: `from_json` rebuilds it and refuses an export
+whose compact re-dump is not exactly what `to_json` writes for the build.
 """
 
 import json
 from array import array
-from functools import reduce
-from itertools import chain, cycle, repeat
+from functools import lru_cache, reduce
+from itertools import cycle, repeat
 from operator import getitem, or_
 
 from . import _kernel as K
@@ -67,30 +67,17 @@ class StateCapExceededError(CapExceededError):
     """The state BFS hit the cap before closing."""
 
 
-def _written_roots(vectors):
-    """The root table as to_json writes it: each coefficient as a decimal string."""
-    return [[[str(x) for x in coord] for coord in vec] for vec in vectors]
-
-
-def _mask(ids):
-    """The state (bit i marks root i) holding the given root ids."""
-    mask = 0
-    for rid in ids:
-        mask |= 1 << rid
-    return mask
-
-
-def _refuse_row(sid, row, names, simple_bits, held):
-    """Raise ValueError for the first label of state sid's transition row
-    that is unknown, or that disagrees with the simple roots it holds."""
-    for label in row:
-        if label not in names:
-            raise ValueError(f"unknown generator label {label!r} in transitions")
-    for name, bit in zip(names, simple_bits):
-        if held & bit and name in row:
-            raise ValueError(f"state {sid} holds alpha_{name} but has an edge on it")
-        if not held & bit and name not in row:
-            raise ValueError(f"state {sid} lacks alpha_{name} but has no edge on it")
+@lru_cache
+def _state_fragments(nbytes):
+    """The text fragments to_json writes for the bytes of a state of nbytes
+    bytes: per byte position, one fragment per byte value, every id with a
+    leading comma; then "],[" for one extra byte per state, always 0, which
+    closes the state and opens the next."""
+    tables = tuple(
+        tuple("".join(f",{k + i}" for i in range(8) if b >> i & 1) for b in range(256))
+        for k in range(0, 8 * nbytes, 8)
+    )
+    return tables + (("],[",),)
 
 
 class ReducedWordAutomaton:
@@ -230,17 +217,11 @@ class ReducedWordAutomaton:
         one % from one row template per set of held simple roots, to the
         bytes json.dumps would give."""
         names = self.diagram.names
-        # a fragment per value of each byte of a state, every id with a
-        # leading comma; one extra byte per state, always 0, closes the
-        # state and opens the next, and "[," then drops each first comma
-        frags = [
-            ["".join(f",{k + i}" for i in range(8) if b >> i & 1) for b in range(256)]
-            for k in range(0, len(self.root_vectors), 8)
-        ]
-        nbytes = len(frags)
-        frags.append(["],["])
+        nbytes = -(-len(self.root_vectors) // 8)
         blob = b"".join(map(int.to_bytes, self.states, repeat(nbytes + 1), repeat("little")))
-        states = ("[" + "".join(map(getitem, cycle(frags), blob))[:-2]).replace("[,", "[")
+        # "[," drops each state's first comma
+        frags = cycle(_state_fragments(nbytes))
+        states = ("[" + "".join(map(getitem, frags, blob))[:-2]).replace("[,", "[")
         head = json.dumps(
             {
                 "format": "coxwalk-automaton",
@@ -249,7 +230,7 @@ class ReducedWordAutomaton:
                 "diagram": self.diagram.to_text(),
                 "field": {"L": self.field.L, "minpoly": list(self.field.minpoly)},
                 "start": self.start,
-                "roots": _written_roots(self.root_vectors),
+                "roots": [[[str(x) for x in coord] for coord in vec] for vec in self.root_vectors],
             },
             separators=(",", ":"),
         )
@@ -272,92 +253,37 @@ class ReducedWordAutomaton:
 
     @classmethod
     def from_json(cls, text, diagram=None):
-        """Read an export of schema version 2; anything else raises ValueError."""
+        """Read an export of schema version 2: the automaton that `build`
+        makes for the export's diagram, written as `to_json` writes it.
+        Anything else raises ValueError."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or payload.get("format") != "coxwalk-automaton":
             raise ValueError("not an automaton export")
         version = payload.get("version")
         if version != EXPORT_VERSION:
-            raise ValueError(
-                f"automaton export version {version!r} is not {EXPORT_VERSION}"
-            )
+            raise ValueError(f"automaton export version {version!r} is not {EXPORT_VERSION}")
         try:
-            return cls._from_payload(payload, diagram)
+            # rank 0's diagram text is a bare newline, which parse_diagram refuses
+            names = payload["generators"]
+            written = parse_diagram(payload["diagram"]) if names else CoxeterDiagram((), ())
+            if diagram is not None and diagram != written:
+                raise ValueError(f"export is of diagram {written!r}, not {diagram!r}")
+            cap = len(payload["states"])
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed automaton export: {exc!r}") from exc
-
-    @classmethod
-    def _from_payload(cls, payload, diagram):
-        names = payload["generators"]
-        if "diagram" in payload:
-            # the rank-0 diagram's text is a bare newline, which a diagram
-            # file may not be
-            written = parse_diagram(payload["diagram"]) if names else CoxeterDiagram((), ())
-            if diagram is None:
-                diagram = written
-            elif diagram != written:
-                raise ValueError(f"export is of diagram {written!r}, not {diagram!r}")
-        elif diagram is None:
-            raise ValueError("automaton export has no diagram; pass diagram=")
-        if list(diagram.names) != names:
-            raise ValueError("export generators do not match the diagram")
-        field = algebra.field_for(diagram)
-        if payload["field"]["L"] != field.L:
-            raise ValueError(
-                f"export field has L = {payload['field']['L']}, "
-                f"but the diagram's field has L = {field.L}"
-            )
-        if list(field.minpoly) != payload["field"]["minpoly"]:
-            raise ValueError("minimal polynomial mismatch in automaton export")
-
-        vectors, simple_ids, _ = _root_table(diagram, field)
-        if payload["roots"] != _written_roots(vectors):
-            raise ValueError("root table is not the elementary roots of the diagram")
-
-        nroots = len(vectors)
-        # ids, targets and start are plain ints: JSON true would read as 1,
-        # and a float would fail only later, in a run
-        if not set(map(type, chain.from_iterable(payload["states"]))) <= {int}:
-            raise ValueError("state holds a root id that is not an integer")
-        states = []
-        seen = {}
-        for sid, ids in enumerate(payload["states"]):
-            if ids and (min(ids) < 0 or max(ids) >= nroots):
-                raise ValueError(f"state holds a root id outside 0..{nroots - 1}")
-            mask = _mask(ids)
-            if mask.bit_count() != len(ids):
-                raise ValueError("state repeats a root id")
-            if mask in seen:
-                raise ValueError(f"state {sid} repeats state {seen[mask]}")
-            seen[mask] = sid
-            states.append(mask)
-
-        rows = payload["transitions"]
-        if len(rows) != len(states):
-            raise ValueError("export needs one transition row per state")
-        # build writes an edge on s exactly when alpha_s is not in the state,
-        # so the simple roots a state holds fix the labels of its row
-        simple_bits = [1 << rid for rid in simple_ids]
-        simple_mask = sum(simple_bits)
-        labels = {}
-        for sid, (state, row) in enumerate(zip(states, rows)):
-            held = state & simple_mask
-            if held not in labels:
-                labels[held] = {name for name, bit in zip(names, simple_bits) if not held & bit}
-            if row.keys() != labels[held]:
-                _refuse_row(sid, row, names, simple_bits, held)
-        targets = list(chain.from_iterable(map(dict.values, rows)))
-        if not set(map(type, targets)) <= {int} or (
-            targets and (min(targets) < 0 or max(targets) >= len(states))
-        ):
-            bad = next(to for to in targets if type(to) is not int or not 0 <= to < len(states))
-            raise ValueError(f"transition target {bad!r} is not a state")
-        table = array("i", [row.get(name, -1) for row in rows for name in names])
-        start = payload["start"]
-        if type(start) is not int or not 0 <= start < len(states):
-            raise ValueError(f"start {start!r} is not a state")
-        auto = cls(diagram, field, vectors, states, table, simple_ids)
-        auto.start = start
+        # the compact re-dump ignores only whitespace: it still tells true
+        # from 1, 1.5 from an id, and a reordered key.  It is taken first, so
+        # that the build does not run beside the parsed export.
+        redump = json.dumps(payload, separators=(",", ":"))
+        del payload
+        # the export's own state count as the cap: a short export stops the
+        # build early, and one written under a larger cap still reads
+        try:
+            auto = build(written, cap=cap)
+        except StateCapExceededError as exc:
+            raise ValueError(f"export has too few states: {exc}") from exc
+        if redump != auto.to_json():
+            raise ValueError("export differs from the build of its diagram")
         return auto
 
     def to_dot(self):

@@ -39,6 +39,22 @@ class ReducibleDiagramError(DiagramError):
     """An operation that requires an irreducible diagram got a reducible one."""
 
 
+def _edge_label(m):
+    """An off-diagonal label as inf or an int >= 2.  A non-integral label is
+    refused, not truncated: 2.5 would become 2, a commuting pair."""
+    if m == INF:
+        return m
+    try:
+        integral = int(m) == m
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise DiagramError(f"edge label {m!r} is not an integer or inf")
+    if m < 2:
+        raise DiagramError("edge labels must be >= 2 or inf")
+    return int(m)
+
+
 class CoxeterDiagram:
     """Immutable labelled diagram: generator names plus a symmetric label matrix."""
 
@@ -63,10 +79,7 @@ class CoxeterDiagram:
                 else:
                     if m != labels[j][i]:
                         raise DiagramError("label matrix is not symmetric")
-                    if not math.isinf(m):
-                        m = int(m)
-                        if m < 2:
-                            raise DiagramError("off-diagonal labels must be >= 2")
+                    m = _edge_label(m)
                 row.append(m)
             rows.append(tuple(row))
         self.names = names
@@ -142,11 +155,7 @@ def from_edges(names, edges):
         if key in seen:
             raise DiagramError(f"edge {a}-{b} specified twice")
         seen.add(key)
-        if not math.isinf(m):
-            m = int(m)
-            if m < 2:
-                raise DiagramError("edge labels must be >= 2 or inf")
-        labels[i][j] = labels[j][i] = m
+        labels[i][j] = labels[j][i] = _edge_label(m)
     return CoxeterDiagram(names, labels)
 
 
@@ -154,9 +163,10 @@ def parse_diagram(text):
     """Parse the line-oriented format.
 
     First logical line: whitespace-separated generator names.  Remaining
-    tokens: "x-y:m" with m an integer >= 2 or "inf"; "x-y" alone means
-    m = 3; pairs never mentioned commute (m = 2).  "#" starts a comment;
-    ";" separates logical lines, so one-liners like "a b; a-b:5" work.
+    tokens: "x-y:m" with m an integer >= 2 in ASCII digits or "inf"; "x-y"
+    alone means m = 3; pairs never mentioned commute (m = 2).  "#" starts a
+    comment; ";" separates logical lines, so one-liners like "a b; a-b:5"
+    work.
     """
     lines = []
     for raw in text.replace(";", "\n").splitlines():
@@ -174,11 +184,11 @@ def parse_diagram(text):
                 label = label.strip().lower()
                 if label in ("inf", "infinity", "oo"):
                     m = INF
+                # int() would also read "1_0" and non-ASCII digits
+                elif label.isascii() and label.isdigit():
+                    m = int(label)
                 else:
-                    try:
-                        m = int(label)
-                    except ValueError:
-                        raise DiagramError(f"bad label in token {token!r}") from None
+                    raise DiagramError(f"bad label in token {token!r}")
             else:
                 pair, m = token, 3
             if pair.count("-") != 1:

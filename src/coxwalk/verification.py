@@ -485,6 +485,9 @@ def run_checks(only=None, fixtures_dir=None, ctx=None):
         start = time.perf_counter()
         try:
             passed, details = fn(ctx)
+        except OSError:
+            # an unreadable fixture is an input error, not a failed fact
+            raise
         except Exception as exc:  # a raising check is a failing check
             passed = False
             details = {"error": f"{type(exc).__name__}: {exc}"}

@@ -7,6 +7,7 @@ import json
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -142,20 +143,28 @@ def test_counts_match_dense_reference(vctx, name):
     assert auto.reduced_word_counts(40) == dense_counts(auto, 40)
 
 
-def _permuted(auto, seed):
-    """An export of auto with its state ids shuffled, start moved off 0."""
-    payload = json.loads(auto.to_json())
-    count = auto.num_states
+def _shuffled_ids(count, start, seed):
+    """A shuffle of the state ids 0..count-1 that moves start off 0, and its
+    inverse: new_id[sid] is the new id of state sid, old_id[new] the old."""
     new_id = list(range(count))
     random.Random(seed).shuffle(new_id)
-    if new_id[auto.start] == 0:
+    if new_id[start] == 0:
         new_id.reverse()
-    old_id = sorted(range(count), key=new_id.__getitem__)
-    rows = payload["transitions"]
-    payload["states"] = [payload["states"][sid] for sid in old_id]
-    payload["transitions"] = [{s: new_id[to] for s, to in rows[sid].items()} for sid in old_id]
-    payload["start"] = new_id[auto.start]
-    return automaton.ReducedWordAutomaton.from_json(json.dumps(payload))
+    return new_id, sorted(range(count), key=new_id.__getitem__)
+
+
+def _permuted(auto, seed):
+    """auto with its state ids shuffled, start moved off 0."""
+    new_id, old_id = _shuffled_ids(auto.num_states, auto.start, seed)
+    n = auto.rank
+    rows = [auto.table[sid * n : sid * n + n] for sid in old_id]
+    table = array("i", [new_id[to] if to >= 0 else -1 for row in rows for to in row])
+    states = [auto.states[sid] for sid in old_id]
+    shuffled = automaton.ReducedWordAutomaton(
+        auto.diagram, auto.field, auto.root_vectors, states, table, auto.simple_root_ids
+    )
+    shuffled.start = new_id[auto.start]
+    return shuffled
 
 
 def test_counts_on_permuted_state_ids(vctx):
@@ -317,26 +326,33 @@ def test_json_without_diagram_key():
     payload = json.loads(auto.to_json())
     del payload["diagram"]
     text = json.dumps(payload)
-    with pytest.raises(ValueError):
-        automaton.ReducedWordAutomaton.from_json(text)
-    again = automaton.ReducedWordAutomaton.from_json(text, diagram=T334)
-    assert again.diagram == T334
-    assert again == auto
+    # every export of schema version 2 carries its diagram
+    for diagram in (None, T334):
+        with pytest.raises(ValueError):
+            automaton.ReducedWordAutomaton.from_json(text, diagram=diagram)
 
 
 def test_eq_reads_transitions():
     """Two automata with the same states and edges but one other edge target
     compare unequal."""
     auto = automaton.build(A2)
-    payload = json.loads(auto.to_json())
-    row = payload["transitions"][0]
-    assert row == {"a": 1, "b": 2}
-    row["a"] = 2
-    other = automaton.ReducedWordAutomaton.from_json(json.dumps(payload))
+    table = array("i", auto.table)
+    assert table[:2].tolist() == [1, 2]
+    table[0] = 2
+    other = automaton.ReducedWordAutomaton(
+        auto.diagram, auto.field, auto.root_vectors, list(auto.states), table, auto.simple_root_ids
+    )
     assert other.states == auto.states
     assert other.num_edges == auto.num_edges
     assert other.next_state(0, 0) == 2
     assert other != auto
+
+
+def test_json_reads_any_whitespace():
+    auto = automaton.build(T334)
+    text = json.dumps(json.loads(auto.to_json()), indent=1)
+    again = automaton.ReducedWordAutomaton.from_json(text)
+    assert again == auto
 
 
 def test_json_roundtrip_case_v(vctx):
@@ -422,9 +438,21 @@ def test_json_export_bytes_pinned(vctx, name):
     assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == EXPORT_DIGESTS[name]
 
 
-# from_json recomputes the root table for the diagram and compares it with
-# the written one
-NOT_ROOTS = "root table is not the elementary roots of the diagram"
+# from_json rebuilds the export's diagram and compares its export with the
+# compact re-dump of the one read
+NOT_BUILD = "export differs from the build of its diagram"
+
+
+def _shuffle_state_ids(payload):
+    new_id, old_id = _shuffled_ids(len(payload["states"]), payload["start"], seed=3)
+    rows = payload["transitions"]
+    payload["states"] = [payload["states"][sid] for sid in old_id]
+    payload["transitions"] = [{s: new_id[to] for s, to in rows[sid].items()} for sid in old_id]
+    payload["start"] = new_id[payload["start"]]
+
+
+def _cut_states(payload, count):
+    del payload["states"][count:], payload["transitions"][count:]
 
 
 def _corrupt(d, change):
@@ -440,80 +468,82 @@ def _corrupt(d, change):
         pytest.param(lambda p: p.update(version=1), "version 1", None, id="version-1"),
         pytest.param(
             lambda p: p["states"][3].append(len(p["roots"])),
-            "root id outside",
+            NOT_BUILD,
             None,
             id="root-id-too-large",
         ),
         pytest.param(
-            lambda p: p["states"][3].insert(0, -1), "root id outside", None, id="root-id-negative"
+            lambda p: p["states"][3].insert(0, -1), NOT_BUILD, None, id="root-id-negative"
         ),
-        pytest.param(lambda p: p["roots"].reverse(), NOT_ROOTS, None, id="roots-out-of-order"),
+        pytest.param(lambda p: p["roots"].reverse(), NOT_BUILD, None, id="roots-out-of-order"),
         pytest.param(
-            lambda p: p["roots"].insert(1, p["roots"][1]), NOT_ROOTS, None, id="roots-repeated"
-        ),
-        pytest.param(
-            lambda p: p["transitions"][0].update(z=1), "unknown generator", None, id="unknown-label"
-        ),
-        # ids, targets and start are plain ints: JSON true is not 1, and a
-        # float target would only fail later, in a run
-        pytest.param(
-            lambda p: p["transitions"][0].update(a=1.5), "target 1.5", None, id="target-float"
+            lambda p: p["roots"].insert(1, p["roots"][1]), NOT_BUILD, None, id="roots-repeated"
         ),
         pytest.param(
-            lambda p: p["transitions"][0].update(a=True), "target True", None, id="target-bool"
+            lambda p: p["transitions"][0].update(z=1), NOT_BUILD, None, id="unknown-label"
         ),
-        pytest.param(lambda p: p.update(start=0.5), "start 0.5", None, id="start-float"),
-        pytest.param(lambda p: p.update(start=True), "start True", None, id="start-bool"),
+        # ids, targets and start are plain ints: the re-dump writes JSON true
+        # and 1.5 as read, so they differ from the build's 1
         pytest.param(
-            lambda p: p["states"][3].__setitem__(0, 1.5), "not an integer", None, id="root-id-float"
+            lambda p: p["transitions"][0].update(a=1.5), NOT_BUILD, None, id="target-float"
         ),
         pytest.param(
-            lambda p: p["states"][3].__setitem__(0, True), "not an integer", None, id="root-id-bool"
+            lambda p: p["transitions"][0].update(a=True), NOT_BUILD, None, id="target-bool"
+        ),
+        pytest.param(lambda p: p.update(start=0.5), NOT_BUILD, None, id="start-float"),
+        pytest.param(lambda p: p.update(start=True), NOT_BUILD, None, id="start-bool"),
+        pytest.param(
+            lambda p: p["states"][3].__setitem__(0, 1.5), NOT_BUILD, None, id="root-id-float"
+        ),
+        pytest.param(
+            lambda p: p["states"][3].__setitem__(0, True), NOT_BUILD, None, id="root-id-bool"
         ),
         # build writes an edge on s exactly when alpha_s is not in the state:
         # state 1 is {alpha_a}, so an edge on a would accept "a a a", and with
         # no edge on a from the start the reduced word "a" would reject
         pytest.param(
-            lambda p: p["transitions"][1].update(a=0),
-            "state 1 holds alpha_a",
-            None,
-            id="edge-on-held-root",
+            lambda p: p["transitions"][1].update(a=0), NOT_BUILD, None, id="edge-on-held-root"
         ),
-        pytest.param(
-            lambda p: p["transitions"][0].pop("a"), "state 0 lacks alpha_a", None, id="edge-missing"
-        ),
+        pytest.param(lambda p: p["transitions"][0].pop("a"), NOT_BUILD, None, id="edge-missing"),
         pytest.param(
             lambda p: p["states"].__setitem__(3, p["states"][4]),
-            "state 4 repeats state 3",
+            NOT_BUILD,
             None,
             id="states-repeated",
         ),
         # coefficients are written as decimal strings: a fraction, a float, a
         # bool or a bare string is not one
         pytest.param(
-            lambda p: p["roots"][0][0].__setitem__(0, "1/2"), NOT_ROOTS, None, id="coord-fraction"
+            lambda p: p["roots"][0][0].__setitem__(0, "1/2"), NOT_BUILD, None, id="coord-fraction"
         ),
         pytest.param(
-            lambda p: p["roots"][0][0].__setitem__(0, 1.5), NOT_ROOTS, None, id="coord-float"
+            lambda p: p["roots"][0][0].__setitem__(0, 1.5), NOT_BUILD, None, id="coord-float"
         ),
         pytest.param(
-            lambda p: p["roots"][0][0].__setitem__(0, True), NOT_ROOTS, None, id="coord-bool"
+            lambda p: p["roots"][0][0].__setitem__(0, True), NOT_BUILD, None, id="coord-bool"
         ),
         pytest.param(
-            lambda p: p["roots"][0].__setitem__(0, "10"), NOT_ROOTS, None, id="coord-string"
+            lambda p: p["roots"][0].__setitem__(0, "10"), NOT_BUILD, None, id="coord-string"
         ),
+        # the same automaton under other state ids: build numbers the states
+        # in BFS order, so no build writes it
+        pytest.param(_shuffle_state_ids, NOT_BUILD, None, id="states-shuffled"),
+        pytest.param(lambda p: _cut_states(p, 3), "too few states", None, id="states-cut"),
         # an export over Q(2cos(pi/12)), the lcm of all of triangle_334's labels
         pytest.param(
             lambda p: p.update(field={"L": 12, "minpoly": [1, 0, -4, 0, 1]}),
-            "L = 12, but the diagram's field has L = 4",
+            NOT_BUILD,
             None,
             id="other-field",
         ),
         # the diagram text swapped for another on the same generators and
-        # field, with no diagram= to catch it: the written roots are
-        # triangle_334's, whose automaton rejects the reduced word a b a b
+        # field, with no diagram= to catch it: its automaton has more states
+        # than triangle_334's, so the rebuild stops at the export's count
         pytest.param(
-            lambda p: p.update(diagram="a b c; a-b:4 b-c"), NOT_ROOTS, None, id="other-diagram-text"
+            lambda p: p.update(diagram="a b c; a-b:4 b-c"),
+            "too few states",
+            None,
+            id="other-diagram-text",
         ),
         # an unchanged export read with diagram= naming another diagram on the
         # same generators and field: its automaton would accept other words

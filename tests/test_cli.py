@@ -377,6 +377,18 @@ def test_verify_paper_negative_control(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_paper_missing_fixture(capsys, tmp_path):
+    """A fixture missing from --fixtures DIR is an input error, not a failed
+    fact."""
+    shutil.copy(FIXTURES / "a1.cox", tmp_path)
+    code, out, err = run(
+        capsys, "verify-paper", "--fixtures", str(tmp_path), "--only", "classify.named"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_paper_missing_fixtures_dir(capsys, tmp_path):
     missing = tmp_path / "no_such_dir"
     code, out, err = run(capsys, "verify-paper", "--fixtures", str(missing))

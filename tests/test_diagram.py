@@ -56,6 +56,8 @@ def test_parse_comments_and_newlines():
         "a a; a-a:3",          # duplicate names
         "a b; a-b:1",          # label below 2
         "a b; a-b:x",          # bad label
+        "a b; a-b:1_0",        # int() would read 10
+        "a b; a-b:\u0663",     # an Arabic-Indic 3, which int() also reads
         "a b; a-c:3",          # unknown generator
         "a b; a-b:3 a-b:4",    # duplicate edge
         "a b; a-b:3 b-a:4",    # duplicate edge, flipped
@@ -66,6 +68,16 @@ def test_parse_comments_and_newlines():
 def test_parse_errors(text):
     with pytest.raises(DiagramError):
         parse_diagram(text)
+
+
+# int() would truncate 2.5 to 2, a commuting pair, and read "3" as 3, and
+# isinf() let -inf through as a label
+@pytest.mark.parametrize("m", [2.5, "3", -math.inf])
+def test_labels_not_integral_refused(m):
+    with pytest.raises(DiagramError):
+        CoxeterDiagram(("a", "b"), [[1, m], [m, 1]])
+    with pytest.raises(DiagramError):
+        dm.from_edges(("a", "b"), [("a", "b", m)])
 
 
 def test_roundtrip_text():

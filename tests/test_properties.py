@@ -5,6 +5,7 @@ quantities, and the text and JSON forms read back equal."""
 
 import functools
 import itertools
+import json
 import math
 import operator
 from datetime import timedelta
@@ -333,6 +334,25 @@ def test_json_round_trip(d):
     again = automaton.ReducedWordAutomaton.from_json(auto.to_json())
     assert again.diagram == d
     assert again == auto
+
+
+@SETTINGS
+@given(diagrams(), st.booleans(), st.data())
+def test_json_one_change_is_refused(d, retarget, data):
+    """An export with one edge retargeted, or one root id dropped from a
+    state, is not the build of its diagram."""
+    payload = json.loads(automaton_for(d).to_json())
+    states = payload["states"]
+    if retarget:
+        row = data.draw(st.sampled_from(payload["transitions"]).filter(bool))
+        name = data.draw(st.sampled_from(sorted(row)))
+        to = data.draw(st.integers(0, len(states) - 2))
+        row[name] = to + (to >= row[name])
+    else:
+        ids = data.draw(st.sampled_from(states).filter(bool))
+        del ids[data.draw(st.integers(0, len(ids) - 1))]
+    with pytest.raises(ValueError):
+        automaton.ReducedWordAutomaton.from_json(json.dumps(payload))
 
 
 @SETTINGS
