@@ -506,8 +506,14 @@ def case_vi_facts(d, kmax=13, auto=None):
     """Run the exact facts behind the rank-5 family on any rank-5 path.
 
     Returns verdicts and measured values; no shape gate, so a corrupted
-    diagram shows up as failed facts rather than a refusal.
+    diagram shows up as failed facts rather than a refusal.  The lengths
+    l(w alpha^k w) for k = 6 .. kmax + 1 come from one running element
+    w alpha^k, extended by the 9 letters of alpha per k, plus one step for
+    the trailing w: each generator step reads the sign of one root image,
+    so no power, product or normal-form walk is made.
     """
+    if kmax < 6:
+        raise ValueError("kmax must be >= 6: the length law starts at k = 6")
     result = {"verdicts": {}, "values": {}}
     order = None
     iso = isomorphism(d, case_vi_diagram())
@@ -536,7 +542,6 @@ def case_vi_facts(d, kmax=13, auto=None):
     alpha_word = (s, t, u, v, w, s, t, u, v)
     group = group_for(d)
     alpha = group.element_of(alpha_word)
-    wgen = group.element_of((w,))
 
     la = alpha.length()
     result["values"]["alpha_length"] = la
@@ -552,23 +557,21 @@ def case_vi_facts(d, kmax=13, auto=None):
         state6 is not None and state7 is not None and state6 == state7
     )
 
-    powers = {0: group.identity}
-    cur = group.identity
+    # cur runs through w alpha^k, nine generator steps per k, and one more
+    # step gives w alpha^k w; every step tracks the length exactly
+    cur = group.element_of((w,))
+    lengths = {}
     for k in range(1, kmax + 2):
-        cur = cur * alpha
-        powers[k] = cur
+        for x in alpha_word:
+            cur = cur.right_mul_gen(x)
+        if k >= 6:
+            lengths[k] = cur.right_mul_gen(w).length()
 
-    l7 = (wgen * powers[7] * wgen).length()
+    l7 = lengths[7]
     result["values"]["length_w_alpha7_w"] = l7
     result["verdicts"]["fact2_length_65"] = l7 == 65
 
-    lengths = {}
-    ok = True
-    for k in range(6, kmax + 2):
-        lk = (wgen * powers[k] * wgen).length()
-        lengths[k] = lk
-        if lk != 2 + 9 * k:
-            ok = False
+    ok = all(lk == 2 + 9 * k for k, lk in lengths.items())
     result["values"]["lengths_w_alphak_w"] = lengths
     result["verdicts"]["lengths_2_plus_9k"] = ok
     result["order"] = order

@@ -77,9 +77,10 @@ class CoxeterDiagram:
                     if m != 1:
                         raise DiagramError("diagonal labels must be 1")
                 else:
-                    if m != labels[j][i]:
-                        raise DiagramError("label matrix is not symmetric")
+                    # validate both labels first: a NaN is never equal to itself
                     m = _edge_label(m)
+                    if m != _edge_label(labels[j][i]):
+                        raise DiagramError("label matrix is not symmetric")
                 row.append(m)
             rows.append(tuple(row))
         self.names = names

@@ -297,16 +297,51 @@ def _oracle_exhaustive(d, auto, max_len):
 
 
 def _oracle_random(d, auto, max_len, samples, seed):
+    """Judge `samples` seeded random words of length <= max_len: accepted
+    iff reduced.
+
+    The words are drawn first and visited in sorted order, so a word's
+    prefixes come right after those of the word before it.  One stack
+    holds the elements of the current word's reduced prefixes; a word
+    steps only past the prefix it shares with the previous one, with
+    `right_mul_gen`, whose length is tracked: a step that does not lengthen
+    ends a reduced prefix, and every extension of a non-reduced prefix is
+    non-reduced without a further step.  So each distinct prefix costs at
+    most one generator step.  The verdicts are then compared with the
+    automaton in sample order, which keeps the mismatches in draw order."""
     group = group_for(d)
     rng = random.Random(seed)
-    mismatches = []
+    words = []
     for _ in range(samples):
         k = rng.randint(0, max_len)
-        word = tuple(rng.randrange(d.rank) for _ in range(k))
-        accepted = auto.accepts(word)
-        reduced = group.is_reduced(word)
-        if accepted != reduced:
-            mismatches.append({"word": format_word(d, word)})
+        words.append(tuple(rng.randrange(d.rank) for _ in range(k)))
+    reduced = [False] * samples
+    path = [group.identity]  # path[i] is the element of the reduced prefix word[:i]
+    stop = None  # the length of the shortest non-reduced prefix of prev, if any
+    prev = ()
+    for i in sorted(range(samples), key=words.__getitem__):
+        word = words[i]
+        common = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            common += 1
+        if stop is not None and stop > common:
+            stop = None
+        del path[common + 1 :]
+        while stop is None and len(path) <= len(word):
+            el = path[-1].right_mul_gen(word[len(path) - 1])
+            if el.length() != len(path):
+                stop = len(path)
+            else:
+                path.append(el)
+        reduced[i] = stop is None
+        prev = word
+    mismatches = [
+        {"word": format_word(d, word)}
+        for word, ok in zip(words, reduced)
+        if auto.accepts(word) != ok
+    ]
     return samples, mismatches
 
 
@@ -382,13 +417,27 @@ def check_growth_counts(ctx):
     return ok, {"affine_a2_counts": a2, "i2inf_counts": i2}
 
 
+def _left_quotient_length(v, w):
+    """l(v^-1 w), by stripping v's ShortLex word s_1 ... s_k from the left
+    of w: v^-1 w = s_k ... s_1 w.  A left step s*x is a right step on the
+    inverse, (s x)^-1 = x^-1 s, and lengths are inverse-invariant, so the
+    steps run as `right_mul_gen` on w^-1, giving w^-1 v.  Each step tracks
+    the length from the sign of one root image and touches one matrix;
+    `left_mul_gen` would also update w's own matrix, which the length
+    does not need."""
+    x = w.inverse()
+    for s in v.shortlex_nf():
+        x = x.right_mul_gen(s)
+    return x.length()
+
+
 def check_same_length_incomparable(ctx):
     """Distinct same-length elements are incomparable; checked from the raw
     length formula, not the short-circuit in weak_leq.
 
-    Both directions are evaluated.  w^-1 v is the inverse of x = v^-1 w, so
-    it is taken as x.inverse(), which swaps x's two matrices and carries
-    l(x^-1) = l(x): one element product and one walk per pair, not two."""
+    Both directions are evaluated.  l(v^-1 w) comes from generator steps,
+    not a product and a walk: see _left_quotient_length.  w^-1 v is the
+    inverse of v^-1 w, so both directions share that length."""
     failures = []
     pairs = 0
     for name in ("affine_a2", "i2inf", "triangle_334"):
@@ -399,11 +448,8 @@ def check_same_length_incomparable(ctx):
             for i, v in enumerate(level):
                 for w in level[i + 1 :]:
                     pairs += 2
-                    x = v.inverse() * w
-                    if (
-                        v.length() + x.length() == w.length()
-                        or w.length() + x.inverse().length() == v.length()
-                    ):
+                    lx = _left_quotient_length(v, w)
+                    if v.length() + lx == w.length() or w.length() + lx == v.length():
                         failures.append({"diagram": name, "v": v.word_str(), "w": w.word_str()})
     return not failures, {"pairs_checked": pairs, "failures": failures[:5]}
 

@@ -6,6 +6,7 @@ wall-clock budget, asserted against the sum of its checks.
 """
 
 import json
+import random
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 from coxwalk import verification
 from coxwalk.automaton import ReducedWordAutomaton
+from coxwalk.element import format_word, group_for
 
 # The details of all 25 checks, JSON-normalized: the measured values behind
 # each verdict.  A change to any of them is a change to a reproduced fact.
@@ -83,17 +85,58 @@ CORRUPTED_TABLES = {
 }
 
 
+def _corrupted(auto, entry, value):
+    table = array("i", auto.table)
+    table[entry] = value
+    return ReducedWordAutomaton(
+        auto.diagram, auto.field, auto.root_vectors, auto.states, table, auto.simple_root_ids
+    )
+
+
 @pytest.mark.parametrize("entry, value", sorted(CORRUPTED_TABLES))
 def test_exhaustive_oracle_catches_a_corrupted_table(vctx, entry, value):
     d = vctx.fixture("triangle_334")
-    auto = vctx.automaton_for("triangle_334")
-    table = array("i", auto.table)
-    table[entry] = value
-    bad = ReducedWordAutomaton(
-        auto.diagram, auto.field, auto.root_vectors, auto.states, table, auto.simple_root_ids
-    )
+    bad = _corrupted(vctx.automaton_for("triangle_334"), entry, value)
     checked, mismatches = verification._oracle_exhaustive(d, bad, 8)
     assert checked == 9841
     expected = CORRUPTED_TABLES[entry, value]
     assert len(mismatches) == sum(expected.values())  # 66 dropped, 185 added
     assert Counter((m["length"], m["accepted"]) for m in mismatches) == expected
+
+
+def _per_word_oracle(d, auto, max_len, samples, seed):
+    """The random oracle one word at a time: the same draws, each word
+    judged from the identity by `is_reduced`."""
+    group = group_for(d)
+    rng = random.Random(seed)
+    mismatches = []
+    for _ in range(samples):
+        k = rng.randint(0, max_len)
+        word = tuple(rng.randrange(d.rank) for _ in range(k))
+        if auto.accepts(word) != group.is_reduced(word):
+            mismatches.append({"word": format_word(d, word)})
+    return mismatches
+
+
+def test_random_oracle_matches_per_word_oracle(vctx):
+    d = vctx.fixture("triangle_334")
+    auto = vctx.automaton_for("triangle_334")
+    seed = verification.ORACLE_SEED
+    checked, mismatches = verification._oracle_random(d, auto, 8, 2000, seed)
+    assert checked == 2000
+    assert mismatches == _per_word_oracle(d, auto, 8, 2000, seed) == []
+    for entry, value in sorted(CORRUPTED_TABLES):
+        bad = _corrupted(auto, entry, value)
+        _, mismatches = verification._oracle_random(d, bad, 8, 2000, seed)
+        assert mismatches  # a dropped and an added edge both show
+        assert mismatches == _per_word_oracle(d, bad, 8, 2000, seed)
+
+
+@pytest.mark.parametrize("name", ["affine_a2", "i2inf", "triangle_334"])
+def test_left_quotient_length_matches_product(vctx, name):
+    ball = group_for(vctx.fixture(name)).ball(4)
+    for k in range(len(ball.counts)):
+        level = ball.of_length(k)
+        for v in level:
+            for w in level:
+                assert verification._left_quotient_length(v, w) == (v.inverse() * w).length()

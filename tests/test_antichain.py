@@ -163,6 +163,35 @@ def test_case_vi_facts_negative_control():
     assert not facts["verdicts"]["fact1_states_equal"]
 
 
+@pytest.mark.parametrize("label", [5, 4])
+def test_case_vi_facts_lengths_match_products(vctx, case_vi_automaton, label):
+    """The stepped lengths against products and normal-form walks, on the
+    rank-5 path and on its label-4 corruption, where the law fails."""
+    if label == 5:
+        d, auto = vctx.fixture("case_vi"), case_vi_automaton
+    else:
+        d, auto = parse_diagram("s t u v w; s-t:4 t-u u-v v-w"), None
+    facts = antichain.case_vi_facts(d, kmax=12, auto=auto)
+    s, t, u, v, w = facts["order"]
+    group = group_for(d)
+    alpha = group.element_of((s, t, u, v, w, s, t, u, v))
+    wgen = group.element_of((w,))
+    expected = {}
+    power = group.identity
+    for k in range(1, 14):
+        power = power * alpha
+        if k >= 6:
+            expected[k] = (wgen * power * wgen).length()
+    assert facts["values"]["lengths_w_alphak_w"] == expected
+    assert facts["values"]["length_w_alpha7_w"] == expected[7]
+    assert facts["verdicts"]["lengths_2_plus_9k"] == (label == 5)
+
+
+def test_case_vi_facts_kmax_below_law_refused():
+    with pytest.raises(ValueError, match="kmax"):
+        antichain.case_vi_facts(CASE_VI, kmax=5)
+
+
 def test_case_vi_certificate_validation(vctx, case_vi_automaton):
     with pytest.raises(ValueError):
         antichain.case_vi_certificate(kmax=4)

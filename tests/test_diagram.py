@@ -70,14 +70,20 @@ def test_parse_errors(text):
         parse_diagram(text)
 
 
-# int() would truncate 2.5 to 2, a commuting pair, and read "3" as 3, and
-# isinf() let -inf through as a label
-@pytest.mark.parametrize("m", [2.5, "3", -math.inf])
+# int() would truncate 2.5 to 2, a commuting pair, and read "3" as 3,
+# isinf() let -inf through as a label, and NaN fails a symmetry test against
+# itself; the error names the label
+@pytest.mark.parametrize("m", [2.5, "3", -math.inf, math.nan])
 def test_labels_not_integral_refused(m):
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="edge label"):
         CoxeterDiagram(("a", "b"), [[1, m], [m, 1]])
     with pytest.raises(DiagramError):
         dm.from_edges(("a", "b"), [("a", "b", m)])
+
+
+def test_asymmetric_labels_refused():
+    with pytest.raises(DiagramError, match="not symmetric"):
+        CoxeterDiagram(("a", "b"), [[1, 3], [4, 1]])
 
 
 def test_roundtrip_text():
