@@ -256,7 +256,12 @@ def embedding_check(d, radius):
     """Exhaustive bidirectional check on a ball: weak order v <= w iff the
     alcove vectors compare componentwise, and length equals the sum of
     absolute alcove coordinates.  A ball of more than EMBEDDING_BALL_CAP
-    elements raises CapExceededError."""
+    elements raises CapExceededError.
+
+    The weak order comes from the group engine, decided for every ordered
+    pair by inclusion of left inversion sets, one set per element from its
+    ShortLex word; a ShortLex word that is not reduced is corruption and
+    raises MixedSignRootError."""
     datum, mapping = recognize_affine(d)
     group = element_mod.group_for(d)
     ball = group.ball(radius, cap=EMBEDDING_BALL_CAP)
@@ -264,6 +269,10 @@ def embedding_check(d, radius):
     vectors = [
         alcove_coords(datum, tuple(mapping[s] for s in word)) for word in words
     ]
+    sets = [group.inversion_set(word) for word in words]
+    if None in sets:
+        word = element_mod.format_word(d, words[sets.index(None)])
+        raise element_mod.MixedSignRootError(f"ShortLex word {word} is not reduced")
 
     length_mismatches = []
     for el, vec in zip(ball.elements, vectors):
@@ -279,7 +288,7 @@ def embedding_check(d, radius):
     for i, v in enumerate(els):
         for j, w in enumerate(els):
             pairs += 1
-            weak = group.weak_leq(v, w)
+            weak = sets[i] <= sets[j]
             phi = phi_leq(vectors[i], vectors[j])
             if weak != phi:
                 violations.append(

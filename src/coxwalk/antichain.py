@@ -138,19 +138,21 @@ def _verified_family(method, d, words, facts):
 
     Every word must be reduced and every pair incomparable in both
     directions; any failure raises, because each construction guarantees
-    both.  `facts` gains the member lengths.
+    both.  A word is reduced when it has a left inversion set, and v <= w
+    in the right weak order iff N(v) is a subset of N(w), so each pair
+    costs two set inclusions.  `facts` gains the member lengths.
     """
     group = group_for(d)
-    elements = []
+    sets = []
     for word in words:
-        el = group.element_of(word)
-        if el.length() != len(word):
+        inversions = group.inversion_set(word)
+        if inversions is None:
             raise CertificateError(f"{method} word {format_word(d, word)} is not reduced")
-        elements.append(el)
+        sets.append(inversions)
     checks = []
-    for i, j in itertools.combinations(range(len(elements)), 2):
-        fwd = group.weak_leq(elements[i], elements[j])
-        bwd = group.weak_leq(elements[j], elements[i])
+    for i, j in itertools.combinations(range(len(sets)), 2):
+        fwd = sets[i] <= sets[j]
+        bwd = sets[j] <= sets[i]
         if fwd or bwd:
             raise CertificateError(
                 f"{method} members {i} and {j} are comparable "

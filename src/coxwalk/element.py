@@ -9,11 +9,13 @@ product they come from a ShortLex normal-form walk.  Right generator steps
 (`right_mul_gen` and the elements of a ball) build the inverse on first
 read: until then the child holds its parent and the generator, and the
 first read fills in every pending ancestor.  Lengths and right descents
-need the columns only, and `is_reduced` decides whether a word is reduced
-from the columns of its prefixes alone.  Balls,
-reduced-expression enumeration, braid closures and minimal coset
-representatives are all built on top of that engine, with size caps that
-turn non-termination on infinite groups into clean errors.
+need the columns only, and `inversion_set` reads the left inversion roots
+of a word from the columns of its prefixes alone: it decides whether the
+word is reduced, and set inclusion of inversion sets decides the right weak
+order for checks that compare many pairs.  Balls, reduced-expression
+enumeration, braid closures and minimal coset representatives are all
+built on top of that engine, with size caps that turn non-termination on
+infinite groups into clean errors.
 """
 
 import math
@@ -223,20 +225,35 @@ class CoxeterGroup:
         el._len = length
         return el
 
-    def is_reduced(self, word):
-        """Whether word is a reduced expression: each letter s must lengthen
-        the prefix w before it, that is, w(alpha_s) must be positive.  Builds
-        the columns of the prefixes only, and stops at the first letter that
-        shortens."""
+    def inversion_set(self, word):
+        """The left inversion set N(w) of the element w spelled by a reduced
+        word, or None when the word is not reduced.
+
+        The roots of N(a_1...a_k) are the columns a_1...a_{j-1}(alpha_{a_j})
+        of the prefixes, read just before each step; a letter shortens its
+        prefix exactly when that root is negative, and the walk stops there.
+        Builds the columns of the prefixes only.  For elements v and w,
+        v <= w in the right weak order iff N(v) is a subset of N(w)
+        (Bjorner-Brenti, GTM 231, Prop. 3.1.3), so this is the batch form of
+        `weak_leq`: one walk per element, then a set inclusion per pair.
+        """
         self._check_word(word)
         cols = self._id_cols
+        roots = []
         last = len(word) - 1
         for i, s in enumerate(word):
-            if _root_vec_sign(cols[s]) < 0:
-                return False
+            root = cols[s]
+            if _root_vec_sign(root) < 0:
+                return None
+            roots.append(root)
             if i < last:
                 cols = self._rmul_gen(cols, s)
-        return True
+        return frozenset(roots)
+
+    def is_reduced(self, word):
+        """Whether word is a reduced expression: each letter s must lengthen
+        the prefix w before it, that is, w(alpha_s) must be positive."""
+        return self.inversion_set(word) is not None
 
     def ball(self, radius, cap=DEFAULT_BALL_CAP):
         """All elements of length <= radius, with counts per length (BFS)."""

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from coxwalk import affine
+from coxwalk import affine, cli
 from coxwalk.diagram import parse_diagram
-from coxwalk.element import group_for
+from coxwalk.element import CoxeterGroup, MixedSignRootError, group_for
 
 
 def test_z_leq():
@@ -195,3 +195,37 @@ def test_embedding_check_b3(vctx):
 def test_embedding_check_other_types(text, label, radius):
     report = affine.embedding_check(parse_diagram(text), radius)
     assert report.ok and report.type_label == label
+
+
+def _corrupt_inversion_set(monkeypatch, target, corrupt):
+    """Replace N(w) by corrupt(N(w)) for the one ShortLex word target."""
+    real = CoxeterGroup.inversion_set
+
+    def patched(self, word):
+        roots = real(self, word)
+        return corrupt(roots) if tuple(word) == target else roots
+
+    monkeypatch.setattr(CoxeterGroup, "inversion_set", patched)
+
+
+def test_embedding_check_sees_a_dropped_root(monkeypatch, capsys):
+    """With alpha_a missing from N(a), a compares below the identity and
+    every element not above a: the check and affine-embed must say so."""
+    _corrupt_inversion_set(monkeypatch, (0,), lambda roots: frozenset())
+    report = affine.embedding_check(parse_diagram("a b c; a-b b-c a-c"), 3)
+    assert report.violations and not report.ok
+    assert not report.length_mismatches
+    assert all("a" in (v["v"], v["w"]) for v in report.violations)
+    assert {"v": "a", "w": "e", "weak_leq": True, "phi_leq": False} in report.violations
+
+    fixture = Path(affine.__file__).parent / "fixtures" / "affine_c2.cox"
+    code = cli.main(["affine-embed", str(fixture), "--radius", "3", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_FACT_FAILURE
+    assert payload["report"]["violations"]
+
+
+def test_embedding_check_refuses_a_non_reduced_normal_form(monkeypatch):
+    _corrupt_inversion_set(monkeypatch, (0, 1), lambda roots: None)
+    with pytest.raises(MixedSignRootError, match="not reduced"):
+        affine.embedding_check(parse_diagram("a b c; a-b b-c a-c"), 2)

@@ -4,7 +4,7 @@ import pytest
 
 from coxwalk import antichain
 from coxwalk.diagram import DiagramClass, parse_diagram
-from coxwalk.element import format_word, group_for, parse_word
+from coxwalk.element import CoxeterGroup, format_word, group_for, parse_word
 
 
 CASE_V = antichain.case_v_diagram()
@@ -331,6 +331,21 @@ def test_good_pair_certificate_fallback(monkeypatch):
     assert cert.method == "LabelTransfer"
     assert cert.facts["case"] == "I"
     assert cert.facts["base_conditions"] == {c: True for c in ("i", "ii", "iii", "iv", "v")}
+
+
+def test_verified_family_refuses_a_comparable_pair(monkeypatch):
+    """If member 1's inversion set contained member 0's, member 0 would lie
+    below member 1, and the family check must refuse the certificate."""
+    family = antichain.certify_antichain(T334, kmax=2).family
+    real = CoxeterGroup.inversion_set
+
+    def patched(self, word):
+        roots = real(self, word)
+        return roots | real(self, family[0]) if tuple(word) == family[1] else roots
+
+    monkeypatch.setattr(CoxeterGroup, "inversion_set", patched)
+    with pytest.raises(antichain.CertificateError, match="members 0 and 1 are comparable"):
+        antichain._verified_family("GoodPair", T334, family, {})
 
 
 def test_base_diagram_construction():

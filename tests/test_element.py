@@ -48,6 +48,8 @@ def test_word_index_range():
         # checked before the walk, which would stop at the nil move (0, 0)
         with pytest.raises(IndexError):
             g.is_reduced(word)
+        with pytest.raises(IndexError):
+            g.inversion_set(word)
 
 
 def test_generator_index_range():
@@ -60,7 +62,7 @@ def test_generator_index_range():
         for act in (g.generator, w.right_mul_gen, w.left_mul_gen):
             with pytest.raises(IndexError, match=message):
                 act(s)
-        for call in (g.element_of, g.is_reduced, g.braid_closure):
+        for call in (g.element_of, g.is_reduced, g.inversion_set, g.braid_closure):
             with pytest.raises(IndexError, match=message):
                 call((0, s))
 
@@ -75,6 +77,45 @@ def test_is_reduced():
     assert not g.is_reduced((0, 1, 0, 1))
     assert g.is_reduced((0, 2, 0, 2))
     assert not g.is_reduced((0, 2, 0, 2, 0))
+
+
+def test_inversion_set():
+    g = group_for(T334)
+    assert g.inversion_set(()) == frozenset()
+    assert g.inversion_set((0, 2, 0, 2, 0)) is None
+    # a c a c is reduced: one root per letter, all of them distinct
+    assert len(g.inversion_set((0, 2, 0, 2))) == 4
+    # the roots are the columns of the prefixes, the first one alpha_a
+    assert g.identity.cols[0] in g.inversion_set((0, 1))
+
+
+def test_inversion_set_of_every_reduced_expression():
+    """N(w) depends on w only: all 5 reduced expressions of case v's omega
+    give one set, of size l(omega)."""
+    g = group_for(CASE_V)
+    omega = g.element_of(parse_word(CASE_V, "utvsut"))
+    exprs = g.reduced_expressions(omega)
+    assert len(exprs) == 5
+    sets = {g.inversion_set(expr) for expr in exprs}
+    assert len(sets) == 1
+    assert len(sets.pop()) == omega.length() == 6
+
+
+@pytest.mark.parametrize(
+    "name,radius",
+    [("affine_a2", 6), ("affine_c2", 5), ("i2inf", 10), ("triangle_334", 4)],
+)
+def test_weak_leq_matches_inversion_set_inclusion(vctx, name, radius):
+    """The matrix walk of weak_leq against N(v) <= N(w) on every ordered
+    pair of a ball: the criterion 7 balls of verify-paper, which decide the
+    weak order by inclusion, and a hyperbolic triangle."""
+    g = group_for(vctx.fixture(name))
+    ball = g.ball(radius).elements
+    sets = [g.inversion_set(el.shortlex_nf()) for el in ball]
+    for v, nv in zip(ball, sets):
+        assert len(nv) == v.length()
+        for w, nw in zip(ball, sets):
+            assert g.weak_leq(v, w) == (nv <= nw)
 
 
 def test_descents_basic():

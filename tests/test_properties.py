@@ -117,6 +117,33 @@ def test_weak_leq_matches_reduced_prefixes(case):
 
 @SETTINGS
 @given(diagram_and_word())
+def test_inversion_set_decides_reducedness(case):
+    """N(w) exists exactly for reduced words, has one root per letter, and
+    does not depend on the reduced expression."""
+    d, word = case
+    g = group_for(d)
+    el = g.element_of(word)
+    reduced = el.length() == len(word)
+    inversions = g.inversion_set(word)
+    assert (inversions is not None) == reduced == g.is_reduced(word)
+    if reduced:
+        assert len(inversions) == len(word)
+        assert inversions == g.inversion_set(el.shortlex_nf())
+
+
+@SETTINGS
+@given(diagram_and_pair())
+def test_weak_leq_matches_inversion_set_inclusion(case):
+    d, first, second = case
+    g = group_for(d)
+    v, w = g.element_of(first), g.element_of(second)
+    nv, nw = g.inversion_set(v.shortlex_nf()), g.inversion_set(w.shortlex_nf())
+    assert g.weak_leq(v, w) == (nv <= nw)
+    assert g.weak_leq(w, v) == (nw <= nv)
+
+
+@SETTINGS
+@given(diagram_and_word())
 def test_braid_closure_is_every_reduced_expression(case):
     """Matsumoto-Tits: braid moves connect all reduced expressions."""
     d, word = case
