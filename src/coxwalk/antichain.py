@@ -3,7 +3,8 @@
 Three constructions are certified mechanically:
 
 * good pairs (u, w): five conditions that force {w^k u} to be an infinite
-  antichain, each condition checked by full enumeration;
+  antichain, each decided exactly; the two splitting conditions read one
+  rank of a weak-order interval instead of listing reduced expressions;
 * the rank-5 path diagram with leading label 5, where the family
   {alpha^k w : k = 0 mod 6} rests on two exact computer facts about the
   reduced-word automaton and lengths;
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from . import automaton as automaton_mod
 from . import diagram as diagram_mod
 from .diagram import DiagramClass, classify, components, isomorphism, subdiagram
-from .element import CapExceededError, _braid_run, format_word, group_for
+from .element import DEFAULT_WORDS_CAP, CapExceededError, GroupMismatchError, _braid_run, format_word, group_for
 
 __all__ = [
     "FAMILY_CAP",
@@ -55,6 +56,9 @@ FAMILY_CAP = 32
 
 
 def _check_family_cap(name, value):
+    # kmax = 0 and count = 1 give one member; below them the family is empty
+    if value < (1 if name == "count" else 0):
+        raise ValueError(f"{name} {value} would give an empty family")
     if value > FAMILY_CAP:
         raise CapExceededError(
             f"{name} {value} is above the antichain family cap of {FAMILY_CAP}",
@@ -177,10 +181,13 @@ def check_good_pair(u, w):
     (i) length comparison, (ii) u not below w, (iii) support size of w,
     (iv) every reduced expression of w*u splits at position l(w) into a
     reduced expression of w followed by one of u, (v) every reduced
-    expression of w*w splits into two reduced expressions of w.
+    expression of w*w splits into two reduced expressions of w.  (iv) and
+    (v) are decided on the weak-order interval below the product (see
+    _split_condition), so no reduced expression is listed and no
+    expression cap applies.
     """
     if u.group is not w.group:
-        raise ValueError("u and w must live in the same group")
+        raise GroupMismatchError("u and w must live in the same group")
     group = u.group
     d = group.diagram
     conditions = {}
@@ -220,20 +227,29 @@ def check_good_pair(u, w):
 
 
 def _split_condition(group, w, tail):
-    """Does every reduced expression of w*tail split at l(w) into reduced
-    expressions of w and of tail?"""
+    """Does every reduced expression of x = w*tail split at l(w) into reduced
+    expressions of w and of tail?
+
+    The reduced expressions of x are the maximal chains of [e, x] in the
+    right weak order (Bjorner-Brenti, GTM 231, Sec. 3.1), so the split holds
+    iff the lengths add and w is the only element of length l(w) below x.
+    The ranks come from one walk down x's right descents.  A failure's
+    witness runs through another v of that rank: v's ShortLex word, then
+    that of v^-1 x.
+    """
     d = group.diagram
     lw, lt = w.length(), tail.length()
-    prod = w * tail
-    if prod.length() != lw + lt:
-        return False, f"l(w*tail) = {prod.length()} < {lw} + {lt}"
-    for expr in group.reduced_expressions(prod):
-        prefix = group.element_of(expr[:lw])
-        if prefix != w:
-            return False, (
-                f"reduced expression {format_word(d, expr)} does not start "
-                f"with a reduced expression of {format_word(d, w.shortlex_nf())}"
-            )
+    x = group.element_of(w.shortlex_nf() + tail.shortlex_nf())
+    if x.length() != lw + lt:
+        return False, f"l(w*tail) = {x.length()} < {lw} + {lt}"
+    rank = list(group._descent_levels(x, DEFAULT_WORDS_CAP))[lw]
+    v = next((v for v in rank if v != w), None)
+    if v is not None:
+        expr = v.shortlex_nf() + (v.inverse() * x).shortlex_nf()
+        return False, (
+            f"reduced expression {format_word(d, expr)} does not start "
+            f"with a reduced expression of {format_word(d, w.shortlex_nf())}"
+        )
     return True, None
 
 

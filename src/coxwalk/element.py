@@ -309,9 +309,10 @@ class CoxeterGroup:
         per length from the identity up to w, mapping each element to its
         edges [(s, el * s) for s a right descent].
 
-        Every element but the identity ends at least one reduced expression
-        of itself, so more than cap + 1 elements exceed a cap of cap
-        expressions; the walk stops there instead of listing them all.
+        The levels are the ranks of the interval [e, w] in the right weak
+        order.  Every element but the identity ends at least one reduced
+        expression of itself, so more than cap + 1 elements exceed a cap of
+        cap expressions; the walk stops there instead of listing them all.
         """
         levels = []
         level = dict.fromkeys([w])
@@ -324,7 +325,10 @@ class CoxeterGroup:
             levels.append(level)
             size += len(below)
             if cap is not None and size > cap + 1:
-                raise _expressions_cap_error(cap)
+                raise CapExceededError(
+                    f"weak-order interval [e, w] exceeded cap of {cap + 1} elements",
+                    cap=cap,
+                )
             level = below
         return reversed(levels)
 
@@ -341,7 +345,9 @@ class CoxeterGroup:
                 out = [sub + (s,) for s, x in edges for sub in exprs[x]]
                 total += len(out)
                 if total > cap:
-                    raise _expressions_cap_error(cap)
+                    raise CapExceededError(
+                        f"reduced-expression enumeration exceeded cap of {cap}", cap=cap
+                    )
                 exprs[el] = out
         return sorted(exprs[w])
 
@@ -472,9 +478,6 @@ class GroupElement:
         el._pending = (self, s)
         return el
 
-    def is_identity(self):
-        return self.cols == self.group._id_cols
-
     def right_mul_gen(self, s):
         """w*s; its length is l(w) + 1 if w(alpha_s) is positive, else l(w) - 1."""
         if not 0 <= s < self.group.n:
@@ -482,16 +485,6 @@ class GroupElement:
         el = self._child(self.group._rmul_gen(self.cols, s), s)
         if self._len is not None:
             el._len = self._len + _root_vec_sign(self.cols[s])
-        return el
-
-    def left_mul_gen(self, s):
-        """s*w; its length is l(w) + 1 if w^-1(alpha_s) is positive, else l(w) - 1."""
-        g = self.group
-        if not 0 <= s < g.n:
-            raise IndexError(f"generator index {s} out of range")
-        el = GroupElement(g, g._lmul_gen(self.cols, s), g._rmul_gen(self.icols, s))
-        if self._len is not None:
-            el._len = self._len + _root_vec_sign(self.icols[s])
         return el
 
     def __mul__(self, other):
@@ -516,11 +509,6 @@ class GroupElement:
                 s for s in range(self.group.n) if _root_vec_sign(self.cols[s]) < 0
             )
         return self._rdes
-
-    def left_descents(self):
-        return frozenset(
-            s for s in range(self.group.n) if _root_vec_sign(self.icols[s]) < 0
-        )
 
     def shortlex_nf(self, cap=DEFAULT_NF_CAP):
         """Lexicographically smallest reduced word."""
@@ -577,10 +565,6 @@ class Ball:
 
 
 _GROUPS = {}
-
-
-def _expressions_cap_error(cap):
-    return CapExceededError(f"reduced-expression enumeration exceeded cap of {cap}", cap=cap)
 
 
 def group_for(diagram):

@@ -422,9 +422,7 @@ def _left_quotient_length(v, w):
     of w: v^-1 w = s_k ... s_1 w.  A left step s*x is a right step on the
     inverse, (s x)^-1 = x^-1 s, and lengths are inverse-invariant, so the
     steps run as `right_mul_gen` on w^-1, giving w^-1 v.  Each step tracks
-    the length from the sign of one root image and touches one matrix;
-    `left_mul_gen` would also update w's own matrix, which the length
-    does not need."""
+    the length from the sign of one root image and touches one matrix."""
     x = w.inverse()
     for s in v.shortlex_nf():
         x = x.right_mul_gen(s)

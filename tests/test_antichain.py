@@ -4,7 +4,14 @@ import pytest
 
 from coxwalk import antichain
 from coxwalk.diagram import DiagramClass, parse_diagram
-from coxwalk.element import CoxeterGroup, format_word, group_for, parse_word
+from coxwalk.element import (
+    CapExceededError,
+    CoxeterGroup,
+    GroupMismatchError,
+    format_word,
+    group_for,
+    parse_word,
+)
 
 
 CASE_V = antichain.case_v_diagram()
@@ -31,6 +38,32 @@ def test_good_pair_single_generator_fails():
     assert not report.conditions["ii"]
     assert not report.conditions["iii"]
     assert "ii" in report.witnesses and "iii" in report.witnesses
+
+
+def test_good_pair_refuses_elements_of_different_groups():
+    u = group_for(T334).generator(0)
+    w = group_for(CASE_V).generator(0)
+    with pytest.raises(GroupMismatchError, match="same group"):
+        antichain.check_good_pair(u, w)
+
+
+def test_split_condition_decides_past_the_expression_cap():
+    """x = a b c d e f g h i in nine commuting generators has 9! = 362 880
+    reduced expressions, above the enumeration cap, but an interval [e, x]
+    of only 2^9 elements: (iv) is decided false with a witness."""
+    d = parse_diagram("a b c d e f g h i")
+    g = group_for(d)
+    u, w = _elements(d, "f g h i", "a b c d e")
+    x = g.element_of(parse_word(d, "a b c d e f g h i"))
+    with pytest.raises(CapExceededError, match="enumeration"):
+        g.reduced_expressions(x)
+    report = antichain.check_good_pair(u, w)
+    assert not report.conditions["iv"]
+    witness = report.witnesses["iv"]
+    word = parse_word(d, witness.removeprefix("reduced expression ").partition(" does not")[0])
+    assert len(word) == x.length() == 9
+    assert g.element_of(word) == x
+    assert g.element_of(word[:5]) != w
 
 
 def test_good_pair_case_iii():
@@ -83,6 +116,21 @@ def test_family_reduced_expressions_split(vctx):
                     assert tuple(expr[copy * lw : (copy + 1) * lw]) in w_exprs
                 assert tuple(expr[k * lw :]) in u_exprs
             cur = w * cur
+
+
+def test_empty_families_refused():
+    """kmax < 0 or count < 1 would certify an empty family."""
+    g = group_for(T334)
+    u, w = g.element_of((2,)), g.element_of((1, 2, 0))
+    calls = [
+        lambda: antichain.good_pair_family(u, w, kmax=-1),
+        lambda: antichain.certify_antichain(T334, kmax=-3),
+        lambda: antichain.certify_antichain(UNIVERSAL3, count=0),
+        lambda: antichain.not_locally_finite_antichain(UNIVERSAL3, count=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="empty family"):
+            call()
 
 
 def test_junction_braid_moves_detects_plants():

@@ -238,8 +238,20 @@ def test_goodpair_fail(capsys):
     assert "FAIL" in out
 
 
+def test_goodpair_past_the_expression_cap(capsys, tmp_path):
+    # x = w*u has 9! reduced expressions, above the enumeration cap of 10^5,
+    # but (iv) reads one rank of the 2^9-element interval below x
+    f = tmp_path / "commuting9.cox"
+    f.write_text("a b c d e f g h i\n")
+    code, out, err = run(capsys, "goodpair", str(f), "f g h i", "a b c d e")
+    assert code == 1
+    assert "good pair: False" in out
+    assert err == ""
+
+
 def test_goodpair_long_word_has_no_recursion_limit(capsys):
-    # condition (v) enumerates the reduced expressions of w*w, 1200 letters long
+    # condition (v) walks the interval below w*w, 1200 letters long, one
+    # rank at a time
     w = " ".join(["s t"] * 300)
     code, out, err = run(capsys, "goodpair", fixture("universal_rank3"), "u", w)
     assert code in (0, 1)

@@ -27,8 +27,8 @@ CASE_V = parse_diagram("s t u v; s-t t-u:5 u-v")
 
 def test_identity_and_involutions():
     g = group_for(A3)
-    assert g.element_of(()).is_identity()
-    assert g.element_of((0, 0)).is_identity()
+    assert g.element_of(()) == g.identity
+    assert g.element_of((0, 0)) == g.identity
     assert g.element_of(()).length() == 0
     assert g.element_of(()).shortlex_nf() == ()
 
@@ -59,7 +59,7 @@ def test_generator_index_range():
     w = g.element_of((0, 1))
     for s in (-1, g.n):
         message = f"generator index {s} out of range"
-        for act in (g.generator, w.right_mul_gen, w.left_mul_gen):
+        for act in (g.generator, w.right_mul_gen):
             with pytest.raises(IndexError, match=message):
                 act(s)
         for call in (g.element_of, g.is_reduced, g.inversion_set, g.braid_closure):
@@ -121,10 +121,8 @@ def test_weak_leq_matches_inversion_set_inclusion(vctx, name, radius):
 def test_descents_basic():
     g = group_for(A3)
     assert g.identity.right_descents() == frozenset()
-    assert g.identity.left_descents() == frozenset()
     s = g.generator(1)
     assert s.right_descents() == {1}
-    assert s.left_descents() == {1}
 
 
 @pytest.mark.parametrize("d,radius", [(ATILDE2, 6), (T334, 5), (I2INF, 6), (A3, 6)])
@@ -132,12 +130,9 @@ def test_descents_match_length_definition(d, radius):
     g = group_for(d)
     for el in g.ball(radius):
         rdes = el.right_descents()
-        ldes = el.left_descents()
         for s in range(d.rank):
             right = el * g.generator(s)
-            left = g.generator(s) * el
             assert (s in rdes) == (right.length() < el.length())
-            assert (s in ldes) == (left.length() < el.length())
 
 
 def test_case_vi_lengths():
@@ -165,21 +160,13 @@ def test_shortlex_is_lexicographically_least():
         assert el.shortlex_nf() == min(exprs)
 
 
-def test_left_mul_gen():
-    g = group_for(T334)
-    el = g.element_of((1, 2))
-    for s in range(3):
-        assert el.left_mul_gen(s) == g.generator(s) * el
-        assert el.right_mul_gen(s) == el * g.generator(s)
-
-
 def test_multiply_inverse():
     g = group_for(T334)
     rng = random.Random(5)
     for _ in range(25):
         word = tuple(rng.randrange(3) for _ in range(rng.randint(0, 8)))
         el = g.element_of(word)
-        assert (el * el.inverse()).is_identity()
+        assert el * el.inverse() == g.identity
         assert el.inverse().length() == el.length()
     a = g.element_of((0, 1, 2))
     b = g.element_of((2, 1))
@@ -302,7 +289,7 @@ def test_reduced_expressions_cap_stops_early():
     w0 = g.element_of(tuple(s for top in range(8) for s in range(top, -1, -1)))
     assert w0.length() == 36
     t0 = time.perf_counter()
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"interval \[e, w\] exceeded cap of 101 elements"):
         g.reduced_expressions(w0, cap=100)
     assert time.perf_counter() - t0 < 2
 
@@ -346,7 +333,7 @@ def test_ball_lengths_consistent():
 def test_min_coset_reps():
     g = group_for(ATILDE2)
     reps = g.min_coset_reps([0, 1], [0, 1], 5)
-    assert len(reps) == 1 and reps[0].is_identity()
+    assert len(reps) == 1 and reps[0] == g.identity
     whole = g.min_coset_reps([0, 1], [], 4)
     assert len(whole) == len(group_for(parse_diagram("a b; a-b")).ball(4))
 
@@ -363,7 +350,7 @@ def test_min_coset_reps():
         (0, 1, 0, 1, 0),
     ]
     for el in reps:
-        if not el.is_identity():
+        if el != gu.identity:
             assert el.right_descents() == {0}
 
 
