@@ -5,17 +5,19 @@ the same for the inverse), with exact field entries.  The representation is
 faithful, so matrix equality decides group equality and descent sets fall
 out of root signs.  Lengths are tracked along generator products, since
 l(ws) = l(w) + 1 exactly when w(alpha_s) is positive; after a general matrix
-product they come from a ShortLex normal-form walk.  Right generator steps
-(`right_mul_gen` and the elements of a ball) build the inverse on first
-read: until then the child holds its parent and the generator, and the
-first read fills in every pending ancestor.  Lengths and right descents
-need the columns only, and `inversion_set` reads the left inversion roots
-of a word from the columns of its prefixes alone: it decides whether the
-word is reduced, and set inclusion of inversion sets decides the right weak
-order for checks that compare many pairs.  Balls, reduced-expression
-enumeration, braid closures and minimal coset representatives are all
-built on top of that engine, with size caps that turn non-termination on
-infinite groups into clean errors.
+product they come from a ShortLex normal-form walk.  The right generator
+step is the only generator action, and an inverse is the right-step
+product of a word of w^-1: `element_of` reverses its word, and a right
+step (`right_mul_gen`, a ball element) holds its own columns only until
+its inverse is read, then reverses the ShortLex word a ball recorded or
+takes the word of w^-1 that the walk spells from w's columns.  Lengths and
+right descents need the columns only, and `inversion_set` reads the left
+inversion roots of a word from the columns of its prefixes alone: it
+decides whether the word is reduced, and set inclusion of inversion sets
+decides the right weak order for checks that compare many pairs.  Balls,
+reduced-expression enumeration, braid closures and minimal coset
+representatives are all built on top of that engine, with size caps that
+turn non-termination on infinite groups into clean errors.
 """
 
 import math
@@ -139,30 +141,12 @@ class CoxeterGroup:
         new[s] = tuple(neg)
         return tuple(new)
 
-    def _lmul_gen(self, cols, s):
-        """Columns of w -> columns of s*w (row operation on row s)."""
-        nbr = self._nbr[s]
-        new = []
-        for col in cols:
-            acc = None
-            for k, coeff in nbr:
-                x = col[k]
-                if x.is_zero():
-                    continue
-                if coeff is not None:
-                    x = coeff * x
-                acc = x if acc is None else acc + x
-            x = col[s]
-            if x.is_zero():
-                if acc is None:
-                    new.append(col)
-                    continue
-            else:
-                acc = -x if acc is None else acc - x
-            c2 = list(col)
-            c2[s] = acc
-            new.append(tuple(c2))
-        return tuple(new)
+    def _word_cols(self, word):
+        """Columns of the product of the generators of word, in word order."""
+        cols = self._id_cols
+        for s in word:
+            cols = self._rmul_gen(cols, s)
+        return cols
 
     def _mat_mul(self, a, b):
         """Columns of the product: (a @ b) column j = a applied to b's column j."""
@@ -179,8 +163,9 @@ class CoxeterGroup:
     def _walk(self, icols, limit):
         """The ShortLex word of the element whose inverse has columns
         `icols`, built by stripping the smallest left descent, or None if
-        the element is longer than `limit`.  Only the inverse is needed:
-        s is a left descent of w exactly when w^-1(alpha_s) is negative."""
+        the element is longer than `limit` (None: no limit).  Only the
+        inverse is needed: s is a left descent of w exactly when
+        w^-1(alpha_s) is negative."""
         word = []
         while True:
             for s in range(self.n):
@@ -212,16 +197,15 @@ class CoxeterGroup:
                 raise IndexError(f"generator index {s} out of range")
 
     def element_of(self, word):
-        """Product of generators in word order (leftmost applied first)."""
+        """Product of generators in word order (leftmost applied first); its
+        inverse is the product of the reversed word."""
         self._check_word(word)
         cols = self._id_cols
-        icols = self._id_cols
         length = 0
         for s in word:
             length += _root_vec_sign(cols[s])
             cols = self._rmul_gen(cols, s)
-            icols = self._lmul_gen(icols, s)
-        el = GroupElement(self, cols, icols)
+        el = GroupElement(self, cols, self._word_cols(reversed(word)))
         el._len = length
         return el
 
@@ -256,7 +240,12 @@ class CoxeterGroup:
         return self.inversion_set(word) is not None
 
     def ball(self, radius, cap=DEFAULT_BALL_CAP):
-        """All elements of length <= radius, with counts per length (BFS)."""
+        """All elements of length <= radius, with counts per length (BFS).
+
+        The frontier is visited in discovery order and the generators in
+        ascending order, and every prefix of a ShortLex word is a ShortLex
+        word, so the first word that reaches an element is its ShortLex
+        word: each element keeps it, and needs no normal-form walk."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         seen = {self._id_cols: self._identity}
@@ -276,8 +265,9 @@ class CoxeterGroup:
                             cap=cap,
                             radius=k,
                         )
-                    cand = el._child(cols, s)
+                    cand = GroupElement(self, cols, None)
                     cand._len = k
+                    cand._nf = el._nf + (s,)
                     seen[cols] = cand
                     new.append(cand)
             if not new:
@@ -304,7 +294,7 @@ class CoxeterGroup:
         # the inverse of v^-1 w is w^-1 v
         return self._walk(self._mat_mul(w.icols, v.cols), lw - lv) is not None
 
-    def _descent_levels(self, w, cap=None):
+    def _descent_levels(self, w, cap):
         """The elements reached from w by removing right descents, one dict
         per length from the identity up to w, mapping each element to its
         edges [(s, el * s) for s a right descent].
@@ -324,7 +314,7 @@ class CoxeterGroup:
                 below.update(dict.fromkeys(x for _, x in level[el]))
             levels.append(level)
             size += len(below)
-            if cap is not None and size > cap + 1:
+            if size > cap + 1:
                 raise CapExceededError(
                     f"weak-order interval [e, w] exceeded cap of {cap + 1} elements",
                     cap=cap,
@@ -352,8 +342,10 @@ class CoxeterGroup:
         return sorted(exprs[w])
 
     def count_reduced_expressions(self, w):
+        """The number of reduced expressions of w; capped like
+        `reduced_expressions`, by the size of [e, w]."""
         counts = {}
-        for level in self._descent_levels(w):
+        for level in self._descent_levels(w, DEFAULT_WORDS_CAP):
             for el, edges in level.items():
                 counts[el] = sum(counts[x] for _, x in edges) if edges else 1
         return counts[w]
@@ -425,17 +417,16 @@ class GroupElement:
     """Immutable group element; equality and hashing via the exact matrix.
 
     `cols` is the matrix of w and `icols` that of w^-1.  An element made by
-    a right generator step stores `_pending = (parent, s)` in place of its
-    inverse until `icols` is first read.
+    a right generator step holds its own columns only and builds `icols`
+    on first read; it refers to no other element.
     """
 
-    __slots__ = ("group", "cols", "_icols", "_pending", "_len", "_nf", "_hash", "_rdes")
+    __slots__ = ("group", "cols", "_icols", "_len", "_nf", "_hash", "_rdes")
 
     def __init__(self, group, cols, icols):
         self.group = group
         self.cols = cols
         self._icols = icols
-        self._pending = None
         self._len = None
         self._nf = None
         self._hash = None
@@ -453,36 +444,20 @@ class GroupElement:
 
     @property
     def icols(self):
-        """Columns of the inverse.  (ws)^-1 = s w^-1, so a pending element
-        gets its inverse from its parent's by one row operation.  The chain
-        of pending ancestors is walked with a loop, and each of them keeps
-        its inverse and drops its parent, so every pending step is built
-        once."""
+        """Columns of the inverse, built on first read as the product of a
+        word of w^-1: the reversed ShortLex word of w when it is known, else
+        the ShortLex word of w^-1, which the walk spells from w's columns."""
         if self._icols is None:
-            chain = []
-            el = self
-            while el._icols is None:
-                chain.append(el)
-                el = el._pending[0]
-            icols = el._icols
-            lmul = self.group._lmul_gen
-            for el in reversed(chain):
-                icols = lmul(icols, el._pending[1])
-                el._icols = icols
-                el._pending = None
+            g = self.group
+            word = reversed(self._nf) if self._nf is not None else g._walk(self.cols, None)
+            self._icols = g._word_cols(word)
         return self._icols
-
-    def _child(self, cols, s):
-        """The element w*s, given its columns; its inverse waits for a read."""
-        el = GroupElement(self.group, cols, None)
-        el._pending = (self, s)
-        return el
 
     def right_mul_gen(self, s):
         """w*s; its length is l(w) + 1 if w(alpha_s) is positive, else l(w) - 1."""
         if not 0 <= s < self.group.n:
             raise IndexError(f"generator index {s} out of range")
-        el = self._child(self.group._rmul_gen(self.cols, s), s)
+        el = GroupElement(self.group, self.group._rmul_gen(self.cols, s), None)
         if self._len is not None:
             el._len = self._len + _root_vec_sign(self.cols[s])
         return el

@@ -1,14 +1,17 @@
 """Group elements: lengths, descents, normal forms, weak order, enumeration."""
 
+import gc
 import itertools
 import random
 import time
 
 import pytest
 
+from coxwalk import element as element_mod
 from coxwalk.diagram import parse_diagram
 from coxwalk.element import (
     CapExceededError,
+    GroupElement,
     GroupMismatchError,
     NonReducedWordError,
     format_word,
@@ -365,9 +368,10 @@ def test_parse_and_format_words():
         parse_word(CASE_VI, "s q")
 
 
-def test_lazy_inverse_of_long_chain():
-    """Reading the inverse at the end of a long right_mul_gen chain walks its
-    pending ancestors with a loop, not one stack frame each."""
+def test_inverse_at_the_end_of_a_long_chain_is_built_by_a_loop():
+    """The inverse at the end of a 3 000-step right_mul_gen chain comes from
+    the normal-form walk and a word product, both loops, not one stack frame
+    per step; it equals element_of's."""
     g = group_for(I2INF)
     word = tuple(i % 2 for i in range(3000))
     el = g.identity
@@ -377,21 +381,58 @@ def test_lazy_inverse_of_long_chain():
     assert el.length() == 3000
 
 
-def test_forcing_a_ball_builds_each_inverse_once(monkeypatch):
+def _elements_referred_to(obj):
+    """The GroupElements that obj refers to directly or through tuples."""
+    found = []
+    stack = list(gc.get_referents(obj))
+    while stack:
+        x = stack.pop()
+        if isinstance(x, GroupElement):
+            found.append(x)
+        elif isinstance(x, tuple):
+            stack.extend(gc.get_referents(x))
+    return found
+
+
+def test_right_steps_hold_no_other_element(monkeypatch):
+    """right_mul_gen and ball elements refer to no other element, before and
+    after their inverse is read; a second read builds nothing."""
     g = group_for(T334)
+    stepped = g.element_of((0, 1, 2)).right_mul_gen(0)
     ball = g.ball(5)
-    calls = [0]
-    lmul = g._lmul_gen
+    elements = [stepped, *ball.elements]
+    for el in elements:
+        assert _elements_referred_to(el) == []
+    calls = {"_rmul_gen": 0, "_walk": 0}
+    for name in calls:
+        orig = getattr(g, name)
 
-    def counted(cols, s):
-        calls[0] += 1
-        return lmul(cols, s)
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
 
-    monkeypatch.setattr(g, "_lmul_gen", counted)
-    for el in reversed(ball.elements):
-        el.icols
+        monkeypatch.setattr(g, name, counted)
+    # a ball element knows its ShortLex word, so its inverse needs no walk
     for el in ball.elements:
         el.icols
-    assert calls[0] == len(ball) - 1
-    # a forced element no longer holds its parent
-    assert all(el._pending is None for el in ball.elements)
+    assert calls["_walk"] == 0
+    stepped.icols
+    assert calls["_walk"] == 1
+    for el in elements:
+        assert _elements_referred_to(el) == []
+    # a second read builds nothing
+    calls.update(dict.fromkeys(calls, 0))
+    for el in elements:
+        el.icols
+    assert calls == {"_rmul_gen": 0, "_walk": 0}
+
+
+def test_count_reduced_expressions_is_capped(monkeypatch):
+    # nine commuting generators: w = abcdefghi has 9! reduced expressions,
+    # and [e, w] has 2^9 = 512 elements
+    g = group_for(parse_diagram("a b c d e f g h i"))
+    w = g.element_of(tuple(range(9)))
+    assert g.count_reduced_expressions(w) == 362880
+    monkeypatch.setattr(element_mod, "DEFAULT_WORDS_CAP", 100)
+    with pytest.raises(CapExceededError, match=r"interval \[e, w\] exceeded cap of 101 elements"):
+        g.count_reduced_expressions(w)

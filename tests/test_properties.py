@@ -372,10 +372,20 @@ def test_build_matches_reference_bfs_rank0():
 @SETTINGS
 @given(diagrams(), st.integers(0, 3))
 def test_ball_inverses_match_element_of(d, radius):
-    """Ball elements build their inverses on first read."""
+    """Ball elements build their inverses on first read, and the ShortLex
+    word a ball records is the one the normal-form walk finds."""
     g = group_for(d)
     for el in g.ball(radius).elements:
         assert el.icols == g.element_of(el.shortlex_nf()).icols
+        assert GroupElement(g, el.cols, None).shortlex_nf() == el.shortlex_nf()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_ball_shortlex_words_match_the_walk(name):
+    d = parse_diagram(FIXTURE_DIR.joinpath(name).read_text())
+    g = group_for(d)
+    for el in g.ball(6 if d.rank <= 3 else 4).elements:
+        assert GroupElement(g, el.cols, None).shortlex_nf() == el.shortlex_nf()
 
 
 @SETTINGS
