@@ -40,8 +40,8 @@ def poly_mul_mod(a, b, mp_low):
 def dot_mod(anums, bnums, mp_low):
     """Sum of the products a_k * b_k of ring elements, as a tuple.
 
-    anums/bnums are sequences of coefficient vectors.  Used for exact
-    matrix products.
+    anums/bnums are sequences of coefficient vectors.  Used for the
+    form values of the automaton's root table.
     """
     acc = [0] * len(mp_low)
     for a, b in zip(anums, bnums):

@@ -3,28 +3,29 @@
 An element is the pair of matrices (action on simple-root coordinates, and
 the same for the inverse), with exact field entries.  The representation is
 faithful, so matrix equality decides group equality and descent sets fall
-out of root signs.  Lengths are tracked along generator products, since
-l(ws) = l(w) + 1 exactly when w(alpha_s) is positive; after a general matrix
-product they come from a ShortLex normal-form walk.  The right generator
-step is the only generator action, and an inverse is the right-step
+out of root signs.  The right generator step is the only generator action
+and the only way to form a product: u * v steps u's columns along v's
+ShortLex word, and `weak_leq(v, w)` steps w's inverse along v's word.
+Every element knows its length when it is made, since l(ws) = l(w) + 1
+exactly when w(alpha_s) is positive.  An inverse is the right-step
 product of a word of w^-1: `element_of` reverses its word, and a right
-step (`right_mul_gen`, a ball element) holds its own columns only until
-its inverse is read, then reverses the ShortLex word a ball recorded or
-takes the word of w^-1 that the walk spells from w's columns.  Lengths and
-right descents need the columns only, and `inversion_set` reads the left
-inversion roots of a word from the columns of its prefixes alone: it
-decides whether the word is reduced, and set inclusion of inversion sets
-decides the right weak order for checks that compare many pairs.  Balls,
-reduced-expression enumeration, braid closures and minimal coset
-representatives are all built on top of that engine, with size caps that
-turn non-termination on infinite groups into clean errors.
+step (`right_mul_gen`, a ball element, a product) holds its own columns
+only until its inverse is read, then reverses the ShortLex word a ball
+recorded or takes the word of w^-1 that the walk spells from w's
+columns.  Lengths and right descents need the columns only, and
+`inversion_set` reads the left inversion roots of a word from the
+columns of its prefixes alone: it decides whether the word is reduced,
+and set inclusion of inversion sets decides the right weak order for
+checks that compare many pairs.  Balls, reduced-expression enumeration,
+braid closures and minimal coset representatives are all built on top of
+that engine, with size caps that turn non-termination on infinite groups
+into clean errors.
 """
 
 import math
 
-from . import _kernel as K
 from . import algebra
-from .algebra import AlgReal, CapExceededError
+from .algebra import CapExceededError
 from . import diagram as diagram_mod
 
 DEFAULT_BALL_CAP = 10**6
@@ -148,17 +149,13 @@ class CoxeterGroup:
             cols = self._rmul_gen(cols, s)
         return cols
 
-    def _mat_mul(self, a, b):
-        """Columns of the product: (a @ b) column j = a applied to b's column j."""
-        n = self.n
-        mp = self.field._mp_low
-        field = self.field
-        rows = [[a[k][i].nums for k in range(n)] for i in range(n)]
-        out = []
-        for j in range(n):
-            bn = [e.nums for e in b[j]]
-            out.append(tuple(AlgReal(field, K.dot_mod(rows[i], bn, mp)) for i in range(n)))
-        return tuple(out)
+    def _steps(self, cols, length, word):
+        """Columns and length of w * word from those of w, one right step
+        per letter; each step adds the sign of w(alpha_s) to the length."""
+        for s in word:
+            length += _root_vec_sign(cols[s])
+            cols = self._rmul_gen(cols, s)
+        return cols, length
 
     def _walk(self, icols, limit):
         """The ShortLex word of the element whose inverse has columns
@@ -200,11 +197,7 @@ class CoxeterGroup:
         """Product of generators in word order (leftmost applied first); its
         inverse is the product of the reversed word."""
         self._check_word(word)
-        cols = self._id_cols
-        length = 0
-        for s in word:
-            length += _root_vec_sign(cols[s])
-            cols = self._rmul_gen(cols, s)
+        cols, length = self._steps(self._id_cols, 0, word)
         el = GroupElement(self, cols, self._word_cols(reversed(word)))
         el._len = length
         return el
@@ -219,7 +212,8 @@ class CoxeterGroup:
         Builds the columns of the prefixes only.  For elements v and w,
         v <= w in the right weak order iff N(v) is a subset of N(w)
         (Bjorner-Brenti, GTM 231, Prop. 3.1.3), so this is the batch form of
-        `weak_leq`: one walk per element, then a set inclusion per pair.
+        `weak_leq`, which steps along v's word once per pair: here each
+        word is walked once, then each pair is a set inclusion.
         """
         self._check_word(word)
         cols = self._id_cols
@@ -278,10 +272,14 @@ class CoxeterGroup:
         return Ball(self, radius, elements, counts)
 
     def weak_leq(self, v, w):
-        """Right weak order: v <= w iff the lengths add along v * (v^-1 w).
+        """Right weak order: v <= w iff l(v^-1 w) = l(w) - l(v)
+        (Bjorner-Brenti, GTM 231, Sec. 3.1).
 
-        Since l(v^-1 w) >= l(w) - l(v), the walk on v^-1 w stops as soon as
-        it would take step l(w) - l(v) + 1, and the answer is then False.
+        With s_1 ... s_k the ShortLex word of v, v^-1 w is the inverse of
+        w^-1 s_1 ... s_k, and each right step changes the length by one,
+        so the equality holds iff every step shortens: w^-1 s_1 ... s_{i-1}
+        (alpha_{s_i}) is negative for each i.  The steps start from w's
+        inverse columns and stop at the first letter that lengthens.
         """
         if v.group is not self or w.group is not self:
             raise GroupMismatchError("elements belong to a different group")
@@ -291,8 +289,12 @@ class CoxeterGroup:
             return False
         if lv == lw:
             return v == w
-        # the inverse of v^-1 w is w^-1 v
-        return self._walk(self._mat_mul(w.icols, v.cols), lw - lv) is not None
+        cols = w.icols
+        for s in v.shortlex_nf():
+            if _root_vec_sign(cols[s]) > 0:
+                return False
+            cols = self._rmul_gen(cols, s)
+        return True
 
     def _descent_levels(self, w, cap):
         """The elements reached from w by removing right descents, one dict
@@ -417,8 +419,9 @@ class GroupElement:
     """Immutable group element; equality and hashing via the exact matrix.
 
     `cols` is the matrix of w and `icols` that of w^-1.  An element made by
-    a right generator step holds its own columns only and builds `icols`
-    on first read; it refers to no other element.
+    right generator steps (`right_mul_gen`, a ball, a product) holds its
+    own columns only and builds `icols` on first read; it refers to no
+    other element.
     """
 
     __slots__ = ("group", "cols", "_icols", "_len", "_nf", "_hash", "_rdes")
@@ -463,14 +466,18 @@ class GroupElement:
         return el
 
     def __mul__(self, other):
+        """u * v: u's columns stepped right along v's ShortLex word, with
+        the length tracked at each step; the inverse is built on first
+        read, as for `right_mul_gen`."""
         if not isinstance(other, GroupElement):
             return NotImplemented
         if other.group is not self.group:
             raise GroupMismatchError("elements belong to different groups")
         g = self.group
-        return GroupElement(
-            g, g._mat_mul(self.cols, other.cols), g._mat_mul(other.icols, self.icols)
-        )
+        cols, length = g._steps(self.cols, self.length(), other.shortlex_nf())
+        el = GroupElement(g, cols, None)
+        el._len = length
+        return el
 
     def inverse(self):
         el = GroupElement(self.group, self.icols, self.cols)
@@ -498,7 +505,8 @@ class GroupElement:
         return self._nf
 
     def length(self):
-        """Known from construction, except after a matrix product; then walked."""
+        """Known from construction; walked only for an element built
+        directly from its columns."""
         if self._len is None:
             self.shortlex_nf()
         return self._len

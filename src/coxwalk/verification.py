@@ -417,25 +417,14 @@ def check_growth_counts(ctx):
     return ok, {"affine_a2_counts": a2, "i2inf_counts": i2}
 
 
-def _left_quotient_length(v, w):
-    """l(v^-1 w), by stripping v's ShortLex word s_1 ... s_k from the left
-    of w: v^-1 w = s_k ... s_1 w.  A left step s*x is a right step on the
-    inverse, (s x)^-1 = x^-1 s, and lengths are inverse-invariant, so the
-    steps run as `right_mul_gen` on w^-1, giving w^-1 v.  Each step tracks
-    the length from the sign of one root image and touches one matrix."""
-    x = w.inverse()
-    for s in v.shortlex_nf():
-        x = x.right_mul_gen(s)
-    return x.length()
-
-
 def check_same_length_incomparable(ctx):
     """Distinct same-length elements are incomparable; checked from the raw
     length formula, not the short-circuit in weak_leq.
 
-    Both directions are evaluated.  l(v^-1 w) comes from generator steps,
-    not a product and a walk: see _left_quotient_length.  w^-1 v is the
-    inverse of v^-1 w, so both directions share that length."""
+    Both directions are evaluated.  l(w^-1 v) comes from the product,
+    which steps w^-1 right along v's ShortLex word and tracks the length
+    at each step.  v^-1 w is the inverse of w^-1 v, so both directions
+    share that length."""
     failures = []
     pairs = 0
     for name in ("affine_a2", "i2inf", "triangle_334"):
@@ -446,7 +435,7 @@ def check_same_length_incomparable(ctx):
             for i, v in enumerate(level):
                 for w in level[i + 1 :]:
                     pairs += 2
-                    lx = _left_quotient_length(v, w)
+                    lx = (w.inverse() * v).length()
                     if v.length() + lx == w.length() or w.length() + lx == v.length():
                         failures.append({"diagram": name, "v": v.word_str(), "w": w.word_str()})
     return not failures, {"pairs_checked": pairs, "failures": failures[:5]}

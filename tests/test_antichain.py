@@ -12,6 +12,7 @@ from coxwalk.element import (
     group_for,
     parse_word,
 )
+from product_reference import column_product, product_length, walked_length
 
 
 CASE_V = antichain.case_v_diagram()
@@ -213,8 +214,8 @@ def test_case_vi_facts_negative_control():
 
 @pytest.mark.parametrize("label", [5, 4])
 def test_case_vi_facts_lengths_match_products(vctx, case_vi_automaton, label):
-    """The stepped lengths against products and normal-form walks, on the
-    rank-5 path and on its label-4 corruption, where the law fails."""
+    """The stepped lengths against column products and normal-form walks,
+    on the rank-5 path and on its label-4 corruption, where the law fails."""
     if label == 5:
         d, auto = vctx.fixture("case_vi"), case_vi_automaton
     else:
@@ -225,11 +226,12 @@ def test_case_vi_facts_lengths_match_products(vctx, case_vi_automaton, label):
     alpha = group.element_of((s, t, u, v, w, s, t, u, v))
     wgen = group.element_of((w,))
     expected = {}
-    power = group.identity
+    power = group.identity.cols
     for k in range(1, 14):
-        power = power * alpha
+        power = column_product(group, power, alpha.cols)
         if k >= 6:
-            expected[k] = (wgen * power * wgen).length()
+            wpw = column_product(group, column_product(group, wgen.cols, power), wgen.cols)
+            expected[k] = walked_length(group, wpw)
     assert facts["values"]["lengths_w_alphak_w"] == expected
     assert facts["values"]["length_w_alpha7_w"] == expected[7]
     assert facts["verdicts"]["lengths_2_plus_9k"] == (label == 5)
@@ -434,7 +436,7 @@ def _check_family_independently(cert):
     for i, v in enumerate(elements):
         for j, w in enumerate(elements):
             if i != j:
-                assert v.length() + (v.inverse() * w).length() != w.length(), (i, j)
+                assert v.length() + product_length(v.inverse(), w) != w.length(), (i, j)
     n = len(elements)
     assert len(cert.checks) == n * (n - 1) // 2
 

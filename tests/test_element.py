@@ -18,6 +18,7 @@ from coxwalk.element import (
     group_for,
     parse_word,
 )
+from product_reference import walked_length
 
 
 A3 = parse_diagram("a b c; a-b b-c")
@@ -109,7 +110,7 @@ def test_inversion_set_of_every_reduced_expression():
     [("affine_a2", 6), ("affine_c2", 5), ("i2inf", 10), ("triangle_334", 4)],
 )
 def test_weak_leq_matches_inversion_set_inclusion(vctx, name, radius):
-    """The matrix walk of weak_leq against N(v) <= N(w) on every ordered
+    """The right steps of weak_leq against N(v) <= N(w) on every ordered
     pair of a ball: the criterion 7 balls of verify-paper, which decide the
     weak order by inclusion, and a hyperbolic triangle."""
     g = group_for(vctx.fixture(name))
@@ -147,7 +148,8 @@ def test_case_vi_lengths():
     for _ in range(7):
         a7 = a7 * alpha
     wa7w = w * a7 * w
-    assert wa7w.length() == 65
+    # the length tracked along the products against a fresh walk
+    assert wa7w.length() == walked_length(g, wa7w.cols) == 65
     # the final w is a right descent: appending w again drops the length
     assert 4 in wa7w.right_descents()
     assert (wa7w * w).length() == 64

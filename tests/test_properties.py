@@ -1,5 +1,5 @@
 """Property tests over generated diagrams and words: the tracked length, the
-bounded weak-order walk, the good-pair split condition, braid closures, the
+weak order, products, the good-pair split condition, braid closures, the
 automaton and the Gram definiteness are checked against independent
 computations of the same quantities, and the text and JSON forms read back
 equal."""
@@ -22,6 +22,7 @@ from coxwalk.algebra import CapExceededError, Definiteness
 from coxwalk.diagram import INF, CoxeterDiagram, parse_diagram
 from coxwalk.element import GroupElement, group_for
 from coxwalk.verification import FIGURE1
+from product_reference import column_product, product_length, walked_length
 
 LABELS = (2, 3, 4, 5, 6, INF)
 MAX_WORD = 10
@@ -98,9 +99,24 @@ def test_bounded_weak_leq_matches_length_formula(case):
     d, first, second = case
     g = group_for(d)
     v, w = g.element_of(first), g.element_of(second)
-    # the product carries no tracked length, so this walks to the end
-    expected = v.length() + (v.inverse() * w).length() == w.length()
+    expected = v.length() + product_length(v.inverse(), w) == w.length()
     assert g.weak_leq(v, w) == expected
+
+
+@SETTINGS
+@given(diagram_and_pair())
+def test_product_matches_column_product(case):
+    """u * v by right steps against the dense matrix product, and its
+    tracked length against a fresh walk; the inverse is built on first
+    read and equals the product of the inverses."""
+    d, first, second = case
+    g = group_for(d)
+    u, v = g.element_of(first), g.element_of(second)
+    uv = u * v
+    cols = column_product(g, u.cols, v.cols)
+    assert uv.cols == cols
+    assert uv.length() == walked_length(g, cols)
+    assert uv.icols == column_product(g, v.icols, u.icols)
 
 
 @SETTINGS
