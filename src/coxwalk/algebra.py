@@ -216,10 +216,8 @@ class FieldSpec:
         # minimal polynomial; checking it still contains the numeric value
         # ties that root to 2cos(pi/L) itself
         lo, hi, shift = self._iso
-        scale = float(1 << shift) if shift < 1024 else None
-        if scale is not None and not (
-            lo / scale - 1e-9 <= approx <= hi / scale + 1e-9
-        ):
+        scale = float(1 << shift)
+        if not lo / scale - 1e-9 <= approx <= hi / scale + 1e-9:
             raise ArithmeticError("isolating interval does not contain 2cos(pi/L)")
         self._zero = self.integer(0)
         self._one = self.integer(1)

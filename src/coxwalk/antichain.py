@@ -424,10 +424,7 @@ def compact_hyperbolic_pair(d):
 
     # Case V: the exact rank-4 path 3-5-3
     if isomorphism(d, case_v_diagram()) is not None:
-        p = _as_path(d)
-        if d.labels[p[0]][p[1]] != 3:
-            p = list(reversed(p))
-        s, t, u, v = p
+        s, t, u, v = _as_path(d)
         return CasePair(
             case="V",
             u_word=(u, v, t, u, t),
@@ -533,19 +530,11 @@ def case_vi_facts(d, kmax=13, auto=None):
     if kmax < 6:
         raise ValueError("kmax must be >= 6: the length law starts at k = 6")
     result = {"verdicts": {}, "values": {}}
-    order = None
-    iso = isomorphism(d, case_vi_diagram())
-    if iso is not None:
-        inverse = [0] * d.rank
-        for i, slot in enumerate(iso):
-            inverse[slot] = i
-        order = inverse
-    else:
-        p = _as_path(d)
-        if p is not None:
-            if d.labels[p[0]][p[1]] < d.labels[p[-2]][p[-1]]:
-                p = list(reversed(p))
-            order = p
+    # read the path from its end with the larger label, so the 5 of the
+    # 5-3-3-3 path comes first
+    order = _as_path(d)
+    if order is not None and d.labels[order[0]][order[1]] < d.labels[order[-2]][order[-1]]:
+        order.reverse()
     if order is None or len(order) != 5:
         result["verdicts"] = {
             "alpha_length": False,

@@ -157,10 +157,10 @@ class CoxeterGroup:
             cols = self._rmul_gen(cols, s)
         return cols, length
 
-    def _walk(self, icols, limit):
+    def _walk(self, icols):
         """The ShortLex word of the element whose inverse has columns
-        `icols`, built by stripping the smallest left descent, or None if
-        the element is longer than `limit` (None: no limit).  Only the
+        `icols`, built by stripping the smallest left descent; an element
+        longer than DEFAULT_NF_CAP raises CapExceededError.  Only the
         inverse is needed: s is a left descent of w exactly when
         w^-1(alpha_s) is negative."""
         word = []
@@ -174,8 +174,10 @@ class CoxeterGroup:
                         "element with no left descent is not the identity"
                     )
                 return tuple(word)
-            if len(word) == limit:
-                return None
+            if len(word) == DEFAULT_NF_CAP:
+                raise CapExceededError(
+                    f"normal-form walk exceeded {DEFAULT_NF_CAP} steps", cap=DEFAULT_NF_CAP
+                )
             word.append(s)
             icols = self._rmul_gen(icols, s)
 
@@ -424,7 +426,7 @@ class GroupElement:
     other element.
     """
 
-    __slots__ = ("group", "cols", "_icols", "_len", "_nf", "_hash", "_rdes")
+    __slots__ = ("group", "cols", "_icols", "_len", "_nf", "_hash")
 
     def __init__(self, group, cols, icols):
         self.group = group
@@ -433,7 +435,6 @@ class GroupElement:
         self._len = None
         self._nf = None
         self._hash = None
-        self._rdes = None
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -452,7 +453,7 @@ class GroupElement:
         the ShortLex word of w^-1, which the walk spells from w's columns."""
         if self._icols is None:
             g = self.group
-            word = reversed(self._nf) if self._nf is not None else g._walk(self.cols, None)
+            word = reversed(self._nf) if self._nf is not None else g._walk(self.cols)
             self._icols = g._word_cols(word)
         return self._icols
 
@@ -486,18 +487,12 @@ class GroupElement:
 
     def right_descents(self):
         """Generators s with w(alpha_s) negative, i.e. l(ws) < l(w)."""
-        if self._rdes is None:
-            self._rdes = frozenset(
-                s for s in range(self.group.n) if _root_vec_sign(self.cols[s]) < 0
-            )
-        return self._rdes
+        return frozenset(s for s in range(self.group.n) if _root_vec_sign(self.cols[s]) < 0)
 
-    def shortlex_nf(self, cap=DEFAULT_NF_CAP):
+    def shortlex_nf(self):
         """Lexicographically smallest reduced word."""
         if self._nf is None:
-            word = self.group._walk(self.icols, cap)
-            if word is None:
-                raise CapExceededError(f"normal-form walk exceeded {cap} steps", cap=cap)
+            word = self.group._walk(self.icols)
             if self._len is not None and self._len != len(word):
                 raise MixedSignRootError("tracked length disagrees with the normal form")
             self._nf = word

@@ -6,16 +6,16 @@ wall-clock budget, asserted against the sum of its checks.
 """
 
 import json
-import random
 from array import array
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from coxwalk import verification
 from coxwalk.automaton import ReducedWordAutomaton
-from coxwalk.element import format_word, group_for
+from coxwalk.element import group_for
 from product_reference import product_length
 
 # The details of all 25 checks, JSON-normalized: the measured values behind
@@ -94,6 +94,10 @@ def _corrupted(auto, entry, value):
     )
 
 
+def _mismatch_counts(mismatches):
+    return Counter((m["length"], m["accepted"]) for m in mismatches)
+
+
 @pytest.mark.parametrize("entry, value", sorted(CORRUPTED_TABLES))
 def test_exhaustive_oracle_catches_a_corrupted_table(vctx, entry, value):
     d = vctx.fixture("triangle_334")
@@ -102,35 +106,53 @@ def test_exhaustive_oracle_catches_a_corrupted_table(vctx, entry, value):
     assert checked == 9841
     expected = CORRUPTED_TABLES[entry, value]
     assert len(mismatches) == sum(expected.values())  # 66 dropped, 185 added
-    assert Counter((m["length"], m["accepted"]) for m in mismatches) == expected
+    assert _mismatch_counts(mismatches) == expected
 
 
-def _per_word_oracle(d, auto, max_len, samples, seed):
-    """The random oracle one word at a time: the same draws, each word
-    judged from the identity by `is_reduced`."""
-    group = group_for(d)
-    rng = random.Random(seed)
-    mismatches = []
-    for _ in range(samples):
-        k = rng.randint(0, max_len)
-        word = tuple(rng.randrange(d.rank) for _ in range(k))
-        if auto.accepts(word) != group.is_reduced(word):
-            mismatches.append({"word": format_word(d, word)})
-    return mismatches
-
-
-def test_random_oracle_matches_per_word_oracle(vctx):
+def test_exhaustive_oracle_matches_per_word_oracle(vctx):
+    """The class walk against a naive reference: every word of length <= 8
+    of triangle_334 judged one at a time, reducedness by `is_reduced` from
+    the identity and acceptance by `accepts` from the start state, on the
+    intact table and on each corrupted one.  Reducedness does not depend
+    on the table, so it is judged once."""
     d = vctx.fixture("triangle_334")
     auto = vctx.automaton_for("triangle_334")
-    seed = verification.ORACLE_SEED
-    checked, mismatches = verification._oracle_random(d, auto, 8, 2000, seed)
-    assert checked == 2000
-    assert mismatches == _per_word_oracle(d, auto, 8, 2000, seed) == []
-    for entry, value in sorted(CORRUPTED_TABLES):
-        bad = _corrupted(auto, entry, value)
-        _, mismatches = verification._oracle_random(d, bad, 8, 2000, seed)
-        assert mismatches  # a dropped and an added edge both show
-        assert mismatches == _per_word_oracle(d, bad, 8, 2000, seed)
+    group = group_for(d)
+    words = [w for k in range(9) for w in product(range(d.rank), repeat=k)]
+    reduced = [group.is_reduced(w) for w in words]
+    tables = [auto] + [_corrupted(auto, e, v) for e, v in sorted(CORRUPTED_TABLES)]
+    found = []
+    for table in tables:
+        expected = Counter()
+        for word, ok in zip(words, reduced):
+            accepted = table.accepts(word)
+            if accepted != ok:
+                expected[len(word), accepted] += 1
+        checked, mismatches = verification._oracle_exhaustive(d, table, 8)
+        assert checked == len(words) == 9841
+        assert _mismatch_counts(mismatches) == expected
+        found.append(expected)
+    assert not found[0] and all(found[1:])  # only the corrupted tables mismatch
+
+
+# case_vi's table with entry 0 (the start state on s) dropped: mismatches
+# per (length, accepted) over the 488 281 words of length <= 8.
+CORRUPTED_RANK5 = {(1, False): 1, (2, False): 4, (3, False): 13, (4, False): 40,
+                   (5, False): 120, (6, False): 339, (7, False): 935, (8, False): 2461}
+
+
+def test_corrupted_rank5_table_fails_oracle_case_vi(vctx, case_vi_automaton):
+    bad = _corrupted(case_vi_automaton, 0, -1)
+    checked, mismatches = verification._oracle_exhaustive(vctx.fixture("case_vi"), bad, 8)
+    assert checked == 488281
+    assert len(mismatches) == 3913
+    assert _mismatch_counts(mismatches) == CORRUPTED_RANK5
+    ctx = verification.VerificationContext()
+    ctx._automata["case_vi"] = bad
+    passed, details = verification.check_oracle_case_vi(ctx)
+    assert not passed
+    assert details["words_checked"] == 488281
+    assert details["mismatches"] == mismatches[:5]
 
 
 @pytest.mark.parametrize("name", ["affine_a2", "i2inf", "triangle_334"])

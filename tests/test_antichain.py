@@ -237,6 +237,16 @@ def test_case_vi_facts_lengths_match_products(vctx, case_vi_automaton, label):
     assert facts["verdicts"]["lengths_2_plus_9k"] == (label == 5)
 
 
+def test_case_vi_facts_on_permuted_generator_names():
+    """The path d-b-e-a-c with the 5 on d-b: the facts read the path from
+    its 5 end, although c, the end with the smaller index, comes first."""
+    d = parse_diagram("a b c d e; d-b:5 b-e e-a a-c")
+    facts = antichain.case_vi_facts(d, kmax=7)
+    assert facts["order"] == [3, 1, 4, 0, 2]
+    assert all(facts["verdicts"].values())
+    assert facts["values"]["length_w_alpha7_w"] == 65
+
+
 def test_case_vi_facts_kmax_below_law_refused():
     with pytest.raises(ValueError, match="kmax"):
         antichain.case_vi_facts(CASE_VI, kmax=5)

@@ -438,3 +438,20 @@ def test_count_reduced_expressions_is_capped(monkeypatch):
     monkeypatch.setattr(element_mod, "DEFAULT_WORDS_CAP", 100)
     with pytest.raises(CapExceededError, match=r"interval \[e, w\] exceeded cap of 101 elements"):
         g.count_reduced_expressions(w)
+
+
+def test_normal_form_walk_is_capped(monkeypatch):
+    # in the infinite dihedral group (ab)^3 has length 6
+    g = group_for(I2INF)
+    within = g.element_of((0, 1, 0, 1, 0))
+    beyond = g.element_of((0, 1, 0, 1, 0, 1))
+    stepped = within.right_mul_gen(1)
+    monkeypatch.setattr(element_mod, "DEFAULT_NF_CAP", 5)
+    assert within.shortlex_nf() == (0, 1, 0, 1, 0)
+    with pytest.raises(CapExceededError, match="normal-form walk exceeded 5 steps"):
+        beyond.shortlex_nf()
+    with pytest.raises(CapExceededError, match="normal-form walk exceeded 5 steps"):
+        GroupElement(g, beyond.cols, None).length()
+    # a right step builds its inverse by walking its own columns
+    with pytest.raises(CapExceededError, match="normal-form walk exceeded 5 steps"):
+        stepped.icols

@@ -418,6 +418,36 @@ def test_state_simple_roots_are_right_descents(case):
     assert simple == el.right_descents()
 
 
+def _check_states_are_elementary_inversions(g, auto, radius):
+    """For each w in the ball, the state reached by w's ShortLex word holds
+    exactly the elementary roots (those of `auto.root_vectors`) in
+    N(w^-1), the positive roots that w sends negative.  This identity is
+    checked here, on these balls and generated diagrams, not proved."""
+    elementary = set(auto.root_vectors)
+    for el in g.ball(radius).elements:
+        word = el.shortlex_nf()
+        bits = auto.states[auto.run(word)]
+        state = {r for i, r in enumerate(auto.root_vectors) if bits >> i & 1}
+        inversions = {tuple(e.nums for e in root) for root in g.inversion_set(word[::-1])}
+        assert state == inversions & elementary, el
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("triangle_237", 10), ("affine_a2", 8), ("case_v", 7), ("case_vi", 7),
+     ("fig1_path4_435", 7), ("universal_rank3", 7), ("a3", 6)],
+)
+def test_states_are_elementary_inversions_on_fixtures(vctx, name, radius):
+    d = vctx.fixture(name)
+    _check_states_are_elementary_inversions(group_for(d), vctx.automaton_for(name), radius)
+
+
+@SETTINGS
+@given(diagrams())
+def test_states_are_elementary_inversions(d):
+    _check_states_are_elementary_inversions(group_for(d), automaton_for(d), 3)
+
+
 @SETTINGS
 @given(diagrams())
 def test_json_round_trip(d):
