@@ -277,6 +277,25 @@ class FieldSpec:
         """Embed an integer."""
         return AlgReal(self, (n,) + (0,) * (self.degree - 1))
 
+    def sign(self, nums):
+        """-1, 0 or +1: the exact sign of the element with the canonical
+        coefficient tuple nums.
+
+        Zero is decided structurally (canonical form).  Otherwise the size
+        is certified by interval evaluation at an isolating interval for
+        the field generator, bisected with per-call state until zero is
+        excluded; termination is guaranteed because a nonzero canonical
+        vector evaluates to a nonzero real.
+        """
+        if not any(nums):
+            return 0
+        lo, hi, shift = self._iso
+        while True:
+            s = K.interval_sign(nums, lo, hi, shift)
+            if s:
+                return s
+            lo, hi, shift = _refine_interval(self.minpoly, lo, hi, shift, shift)
+
     def __repr__(self):
         return f"FieldSpec(L={self.L}, degree={self.degree})"
 
@@ -377,22 +396,8 @@ class AlgReal:
         return not any(self.nums)
 
     def sign(self):
-        """-1, 0 or +1; exact.
-
-        Zero is decided structurally (canonical form).  Otherwise the size
-        is certified by interval evaluation at an isolating interval for
-        the field generator, bisected with per-call state until zero is
-        excluded; termination is guaranteed because a nonzero canonical
-        vector evaluates to a nonzero real.
-        """
-        if not any(self.nums):
-            return 0
-        lo, hi, shift = self.field._iso
-        while True:
-            s = K.interval_sign(self.nums, lo, hi, shift)
-            if s:
-                return s
-            lo, hi, shift = _refine_interval(self.field.minpoly, lo, hi, shift, shift)
+        """-1, 0 or +1; exact (see FieldSpec.sign)."""
+        return self.field.sign(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, AlgReal):

@@ -13,14 +13,16 @@ admissible step; the closure is the finite set of elementary roots of
 Brink and Howlett (Math. Ann. 296, 1993), sorted once into a canonical
 order (lexicographic on the integer coefficient tuples) and tabulated as
 step[s][root].  A root is one integer tuple per simple-root coordinate,
-and a value is wrapped in an AlgReal only where its sign must be decided.
+and every sign is decided on such tuples by the field.
 Phase 2 runs the state BFS with each state a Python int whose bit i marks
 root i, so state contents, exports and state indices are deterministic.
 Since s acts on each root separately, the images of a state under every
-generator are the OR of its roots' images; one table per state byte packs
-them into one int, generator s in bits s*w .. s*w+w-1 with w the number of
-roots, so each state costs one table pass and each edge a shift and a
-mask.
+generator are the union of its roots' images, packed into one int with
+generator s in bits s*w .. s*w+w-1, w the number of roots.  A state is
+read as 32-bit chunks; each chunk position keeps the packed images of the
+chunk values met so far, filled from one table per byte and bounded in
+size, so a state costs one lookup per chunk and each allowed edge a shift
+and a mask.
 
 The transitions are one flat array("i") of n entries per state, n the rank:
 table[sid * n + s] is the state reached from state sid on generator s, or
@@ -42,18 +44,22 @@ whose compact re-dump is not exactly what `to_json` writes for the build.
 
 import json
 from array import array
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import cycle, repeat
-from operator import getitem, or_
+from operator import getitem
+from struct import Struct
 
 from . import _kernel as K
 from . import algebra
-from .algebra import AlgReal
 from .diagram import CoxeterDiagram, parse_diagram
 from .element import CapExceededError, MixedSignRootError
 
 DEFAULT_STATE_CAP = 200000
 EXPORT_VERSION = 2
+# entries a chunk cache of the build stores; past it, misses are computed
+# from the byte tables and dropped, so the caches hold at most 2^12 entries
+# per byte table whatever the diagram
+_CHUNK_CACHE_CAP = 1 << 14
 
 __all__ = [
     "ReducedWordAutomaton",
@@ -310,6 +316,25 @@ class ReducedWordAutomaton:
         return f"ReducedWordAutomaton(states={self.num_states}, edges={self.num_edges})"
 
 
+class _ChunkImages(dict):
+    """Packed images of the 32-bit values met at one chunk position of a
+    state: a missing value's entry is the OR of its four bytes' entries in
+    `tables`, stored while the cache is under _CHUNK_CACHE_CAP."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, v):
+        t0, t1, t2, t3 = self.tables
+        img = t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16 & 255] | t3[v >> 24]
+        if len(self) < _CHUNK_CACHE_CAP:
+            self[v] = img
+        return img
+
+
 def _root_table(diagram, field):
     """Phase 1: close the simple roots under the admissible step.
 
@@ -322,7 +347,7 @@ def _root_table(diagram, field):
     gram = algebra.gram(diagram, field)
     n = diagram.rank
     mp = field._mp_low
-    two = field.integer(2)
+    sign = field.sign
     # the Gram matrix is symmetric, so its rows are its columns
     gram_cols = [[e.nums for e in row] for row in gram]
 
@@ -334,13 +359,12 @@ def _root_table(diagram, field):
     for beta in vectors:
         for s in range(n):
             y = K.dot_mod(beta, gram_cols[s], mp)
-            form = AlgReal(field, y)
-            if (two - form).sign() <= 0 or (two + form).sign() <= 0:
+            if sign((y[0] - 2,) + y[1:]) >= 0 or sign((y[0] + 2,) + y[1:]) <= 0:
                 raw_step[s].append(-1)
                 continue
             coord = tuple([b - x for b, x in zip(beta[s], y)])
             # beta is positive and its image differs from it only in coordinate s
-            if AlgReal(field, coord).sign() < 0:
+            if sign(coord) < 0:
                 raise MixedSignRootError("reflected root is not positive")
             img = beta[:s] + (coord,) + beta[s + 1 :]
             rid = ids.get(img)
@@ -382,17 +406,27 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
     root_imgs = [
         sum(1 << (s * w + st[rid]) for s, st in enumerate(step) if st[rid] >= 0)
         for rid in range(w)
-    ] + [0] * (-w % 8)
+    ] + [0] * (-w % 32)
     packed = []
-    for k in range(0, w, 8):
+    for k in range(0, len(root_imgs), 8):
         table = [0] * 256
         for b in range(1, 256):
             table[b] = table[b & (b - 1)] | root_imgs[k + (b & -b).bit_length() - 1]
         packed.append(table)
+    # A state is read as 32-bit chunks, each looked up in its position's
+    # cache.  The chunks hold disjoint roots and s is injective on roots, so
+    # their images share no bit and add up to their union.  No positive root
+    # maps to alpha_s, so adding const, which sets bit s*w + id(alpha_s) for
+    # every s, puts alpha_s into every image.
     nbytes = len(packed)
+    chunks = [_ChunkImages(packed[k : k + 4]) for k in range(0, nbytes, 4)]
+    unpack = Struct(f"<{len(chunks)}I").unpack
+    const = sum(1 << (s * w + rid) for s, rid in enumerate(simple_ids))
     full = (1 << w) - 1
-    shifts = [s * w for s in range(n)]
-    simple_bits = [1 << rid for rid in simple_ids]
+    smask = sum(1 << rid for rid in simple_ids)
+    # held simple roots -> (s, s*w) for each generator s allowed there
+    allowed = {}
+    blank = [-1] * n
 
     states = {0: 0}
     state_list = [0]
@@ -401,13 +435,16 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
     table = array("i")
     # state_list grows while it is walked: it is the BFS queue
     for sid, state in enumerate(state_list):
-        imgs = reduce(or_, map(getitem, packed, state.to_bytes(nbytes, "little")), 0)
-        for s in range(n):
-            bit = simple_bits[s]
-            if state & bit:
-                table.append(-1)
-                continue
-            img = imgs >> shifts[s] & full | bit
+        imgs = sum(map(getitem, chunks, unpack(state.to_bytes(nbytes, "little"))), const)
+        held = state & smask
+        gens = allowed.get(held)
+        if gens is None:
+            gens = allowed[held] = [
+                (s, s * w) for s, rid in enumerate(simple_ids) if not held >> rid & 1
+            ]
+        row = blank.copy()
+        for s, shift in gens:
+            img = imgs >> shift & full
             to = states.get(img)
             if to is None:
                 if len(state_list) >= cap:
@@ -419,5 +456,6 @@ def build(diagram, cap=DEFAULT_STATE_CAP):
                     )
                 to = states[img] = len(state_list)
                 state_list.append(img)
-            table.append(to)
+            row[s] = to
+        table.extend(row)
     return ReducedWordAutomaton(diagram, field, vectors, state_list, table, simple_ids)

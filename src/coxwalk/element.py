@@ -60,9 +60,10 @@ class GroupMismatchError(ValueError):
 
 def _root_vec_sign(vec):
     """+1 for a positive root, -1 for a negative one; mixed signs raise."""
+    sign = vec[0].field.sign
     pos = neg = False
     for e in vec:
-        s = e.sign()
+        s = sign(e.nums)
         if s > 0:
             pos = True
         elif s < 0:

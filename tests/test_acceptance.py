@@ -6,6 +6,7 @@ wall-clock budget, asserted against the sum of its checks.
 """
 
 import json
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import product
@@ -94,19 +95,16 @@ def _corrupted(auto, entry, value):
     )
 
 
-def _mismatch_counts(mismatches):
-    return Counter((m["length"], m["accepted"]) for m in mismatches)
-
-
 @pytest.mark.parametrize("entry, value", sorted(CORRUPTED_TABLES))
 def test_exhaustive_oracle_catches_a_corrupted_table(vctx, entry, value):
     d = vctx.fixture("triangle_334")
     bad = _corrupted(vctx.automaton_for("triangle_334"), entry, value)
-    checked, mismatches = verification._oracle_exhaustive(d, bad, 8)
+    checked, counts, examples = verification._oracle_exhaustive(d, bad, 8)
     assert checked == 9841
     expected = CORRUPTED_TABLES[entry, value]
-    assert len(mismatches) == sum(expected.values())  # 66 dropped, 185 added
-    assert _mismatch_counts(mismatches) == expected
+    assert sum(counts.values()) == sum(expected.values())  # 66 dropped, 185 added
+    assert counts == expected
+    assert len(examples) == 5
 
 
 def test_exhaustive_oracle_matches_per_word_oracle(vctx):
@@ -128,9 +126,9 @@ def test_exhaustive_oracle_matches_per_word_oracle(vctx):
             accepted = table.accepts(word)
             if accepted != ok:
                 expected[len(word), accepted] += 1
-        checked, mismatches = verification._oracle_exhaustive(d, table, 8)
+        checked, counts, _ = verification._oracle_exhaustive(d, table, 8)
         assert checked == len(words) == 9841
-        assert _mismatch_counts(mismatches) == expected
+        assert counts == expected
         found.append(expected)
     assert not found[0] and all(found[1:])  # only the corrupted tables mismatch
 
@@ -143,16 +141,40 @@ CORRUPTED_RANK5 = {(1, False): 1, (2, False): 4, (3, False): 13, (4, False): 40,
 
 def test_corrupted_rank5_table_fails_oracle_case_vi(vctx, case_vi_automaton):
     bad = _corrupted(case_vi_automaton, 0, -1)
-    checked, mismatches = verification._oracle_exhaustive(vctx.fixture("case_vi"), bad, 8)
+    checked, counts, examples = verification._oracle_exhaustive(vctx.fixture("case_vi"), bad, 8)
     assert checked == 488281
-    assert len(mismatches) == 3913
-    assert _mismatch_counts(mismatches) == CORRUPTED_RANK5
+    assert sum(counts.values()) == 3913
+    assert counts == CORRUPTED_RANK5
     ctx = verification.VerificationContext()
     ctx._automata["case_vi"] = bad
     passed, details = verification.check_oracle_case_vi(ctx)
     assert not passed
     assert details["words_checked"] == 488281
-    assert details["mismatches"] == mismatches[:5]
+    assert details["mismatches"] == examples
+    assert examples == [{"length": 1, "accepted": False}] + [{"length": 2, "accepted": False}] * 4
+
+
+def test_oracle_memory_does_not_grow_with_mismatches(vctx, case_vi_automaton):
+    """case_vi's table with every missing edge sent to the start state
+    accepts 469 033 words that are not reduced.  The check reports five of
+    them and counts the rest, so its traced peak stays that of the class
+    walk, about 1.6 MB; a dict per mismatching word would take 87 MB."""
+    auto = case_vi_automaton
+    table = array("i", [max(to, 0) for to in auto.table])
+    ctx = verification.VerificationContext()
+    ctx._automata["case_vi"] = ReducedWordAutomaton(
+        auto.diagram, auto.field, auto.root_vectors, auto.states, table, auto.simple_root_ids
+    )
+    tracemalloc.start()
+    try:
+        passed, details = verification.check_oracle_case_vi(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not passed
+    assert details["words_checked"] == 488281
+    assert len(details["mismatches"]) == 5
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("name", ["affine_a2", "i2inf", "triangle_334"])

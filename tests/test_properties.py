@@ -385,6 +385,37 @@ def test_build_matches_reference_bfs_rank0():
     _check_build_matches_reference(CoxeterDiagram((), ()))
 
 
+@pytest.mark.parametrize("name", ["case_v.cox", "case_vi.cox", "fig1_path5_5335.cox"])
+def test_build_matches_reference_bfs_past_the_chunk_cache_cap(name, monkeypatch):
+    """With each chunk cache of the build capped at one entry, the images of
+    nearly every state come from the byte tables and are not stored.
+    case_v has exactly 32 roots, one full chunk."""
+    monkeypatch.setattr(automaton, "_CHUNK_CACHE_CAP", 1)
+    _check_build_matches_reference(parse_diagram(FIXTURE_DIR.joinpath(name).read_text()))
+
+
+def _check_steps_pack_disjointly(d):
+    """Phase 2 adds the images of a state's chunks and const instead of
+    OR-ing them, which is exact only when each step[s] maps distinct roots
+    to distinct roots and never to alpha_s."""
+    _, simple_ids, step = automaton._root_table(d, algebra.field_for(d))
+    for s, row in enumerate(step):
+        images = [rid for rid in row if rid >= 0]
+        assert len(set(images)) == len(images)
+        assert simple_ids[s] not in images
+
+
+@SETTINGS
+@given(diagrams(min_rank=1, max_rank=5))
+def test_steps_pack_disjointly(d):
+    _check_steps_pack_disjointly(d)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_steps_pack_disjointly_on_fixtures(name):
+    _check_steps_pack_disjointly(parse_diagram(FIXTURE_DIR.joinpath(name).read_text()))
+
+
 @SETTINGS
 @given(diagrams(), st.integers(0, 3))
 def test_ball_inverses_match_element_of(d, radius):
