@@ -6,7 +6,7 @@ alcove embeddings, with a CLI that re-derives every recorded fact.
 """
 
 from ._kernel import BACKEND as KERNEL_BACKEND
-from .algebra import AlgReal, FieldSpec, field_for, form_value, gram
+from .algebra import FieldSpec, field_for, form_value, gram
 from .antichain import (
     case_vi_certificate,
     certify_antichain,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "KERNEL_BACKEND",
     "__version__",
-    "AlgReal",
     "FieldSpec",
     "field_for",
     "form_value",

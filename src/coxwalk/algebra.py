@@ -8,14 +8,20 @@ labels 2 and 3 need no extension.  Every other doubled form value
 integer Dickson polynomial 2*T_k(x/2).  Since c is an algebraic integer, its
 minimal polynomial is monic with integer coefficients, so the doubled form,
 every matrix of the geometric representation and every root have integer
-coefficient vectors in the power basis 1, c, ..., c^(d-1).  Equality is
-decidable by coefficient comparison; signs are decided by exact interval
-arithmetic over dyadic rationals, refining an isolating interval for c by
-bisection until zero is excluded.
+coefficient vectors in the power basis 1, c, ..., c^(d-1).
+
+A field element is that vector itself: a tuple of d integers, reduced
+modulo the minimal polynomial, so equality and hashing are structural and
+zero is the all-zero tuple.  Sums, differences and negations are
+coefficientwise.  The two operations that need field data belong to the
+FieldSpec: `mul`, the product reduced modulo the minimal polynomial, and
+`sign`, decided by exact interval arithmetic over dyadic rationals,
+refining an isolating interval for c by bisection until zero is excluded.
 """
 
 import functools
 import math
+from operator import sub
 
 from . import _kernel as K
 
@@ -23,7 +29,6 @@ __all__ = [
     "CapExceededError",
     "MAX_FIELD_DEGREE",
     "FieldSpec",
-    "AlgReal",
     "Definiteness",
     "field_for",
     "field_for_lcm",
@@ -194,8 +199,10 @@ class FieldSpec:
 
     Carries the minimal polynomial (monic, integer, little-endian including
     the leading 1), the degree, and an isolating dyadic interval for the
-    generator used by sign certification.  Instances are immutable and
-    shared; obtain them through field_for / field_for_lcm.
+    generator used by sign certification.  Its elements are canonical
+    coefficient tuples; `mul` and `sign` are the operations on them that
+    need the field.  Instances are immutable and shared; obtain them
+    through field_for / field_for_lcm.
     """
 
     __slots__ = ("L", "degree", "minpoly", "_mp_low", "_iso", "_zero", "_one", "_gen")
@@ -224,7 +231,7 @@ class FieldSpec:
         if d >= 2:
             g = [0] * d
             g[1] = 1
-            self._gen = AlgReal(self, tuple(g))
+            self._gen = tuple(g)
         else:
             self._gen = self.integer(-mp[0])
 
@@ -261,21 +268,28 @@ class FieldSpec:
 
     @property
     def generator(self):
-        """2cos(pi/L) as a field element."""
+        """2cos(pi/L) as a coefficient tuple."""
         return self._gen
 
     def element(self, coeffs):
-        """Element from integer coefficients in the power basis."""
+        """The canonical tuple of integer coefficients in the power basis,
+        padded with zeros to the degree: the checked entry point for values
+        from outside the library."""
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
         if not all(isinstance(c, int) for c in coeffs):
             raise ValueError(f"coefficients {coeffs!r} are not all integers")
-        return AlgReal(self, tuple(coeffs) + (0,) * (self.degree - len(coeffs)))
+        return tuple(coeffs) + (0,) * (self.degree - len(coeffs))
 
     def integer(self, n):
         """Embed an integer."""
-        return AlgReal(self, (n,) + (0,) * (self.degree - 1))
+        return (n,) + (0,) * (self.degree - 1)
+
+    def mul(self, a, b):
+        """The product of the elements a and b, reduced modulo the minimal
+        polynomial."""
+        return tuple(K.poly_mul_mod(a, b, self._mp_low))
 
     def sign(self, nums):
         """-1, 0 or +1: the exact sign of the element with the canonical
@@ -342,84 +356,13 @@ def field_for(diagram):
     return field_for_lcm(L)
 
 
-class AlgReal:
-    """An element of Z[c] inside a FieldSpec: its integer coefficient vector.
-
-    The representation is canonical (a tuple of `degree` integers, reduced
-    modulo the minimal polynomial), so equality and hashing are structural
-    and zero is the all-zero vector.  The constructor stores the tuple it is
-    given.  Operands are elements of the same field or ints; there is no
-    division and no ordering operator; `sign()` decides order.
-    """
-
-    __slots__ = ("field", "nums")
-
-    def __init__(self, field, nums):
-        self.field = field
-        self.nums = nums
-
-    def _coerce(self, other):
-        if isinstance(other, AlgReal):
-            if other.field is not self.field:
-                raise ValueError("operands live in different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.integer(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgReal(self.field, tuple([x + y for x, y in zip(self.nums, other.nums)]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgReal(self.field, tuple([x - y for x, y in zip(self.nums, other.nums)]))
-
-    def __neg__(self):
-        return AlgReal(self.field, tuple([-x for x in self.nums]))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgReal(self.field, tuple(K.poly_mul_mod(self.nums, other.nums, self.field._mp_low)))
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not any(self.nums)
-
-    def sign(self):
-        """-1, 0 or +1; exact (see FieldSpec.sign)."""
-        return self.field.sign(self.nums)
-
-    def __eq__(self, other):
-        if isinstance(other, AlgReal):
-            return self.field is other.field and self.nums == other.nums
-        if isinstance(other, int):
-            return self == self.field.integer(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.nums)
-
-    def __repr__(self):
-        return f"AlgReal({list(self.nums)}, L={self.field.L})"
-
-
 # ---------------------------------------------------------------------------
 # bilinear form of a diagram
 
 def form_value(diagram, i, j, field=None):
-    """The doubled form value 2(alpha_i|alpha_j) = -2cos(pi/m(i,j)) as an exact
-    element of Z[c]: 2 on the diagonal, 0 for m = 2, -1 for m = 3, -2 for
-    m = oo, and -D_{L/m}(c) otherwise.
+    """The doubled form value 2(alpha_i|alpha_j) = -2cos(pi/m(i,j)) as the
+    coefficient tuple of an element of Z[c]: 2 on the diagonal, 0 for m = 2,
+    -1 for m = 3, -2 for m = oo, and -D_{L/m}(c) otherwise.
 
     A finite label m >= 4 must divide field.L; otherwise ValueError.
     """
@@ -440,7 +383,8 @@ def form_value(diagram, i, j, field=None):
     c = field.generator
     acc = field.zero
     for coeff in reversed(_dickson(k)):
-        acc = acc * c - coeff
+        acc = field.mul(acc, c)
+        acc = (acc[0] - coeff,) + acc[1:]
     return acc
 
 
@@ -460,8 +404,9 @@ class Definiteness:
     OTHER = "Other"
 
 
-def definiteness(rows):
-    """Classify a symmetric matrix (rows of field elements) by exact pivot signs.
+def definiteness(rows, field):
+    """Classify a symmetric matrix (rows of elements of field) by exact pivot
+    signs.
 
     Positive definite iff all pivots positive; positive semidefinite and
     singular iff pivots nonnegative with at least one zero pivot whose whole
@@ -474,21 +419,22 @@ def definiteness(rows):
     """
     n = len(rows)
     a = [list(row) for row in rows]
+    mul = field.mul
     saw_zero = False
     for k in range(n):
         p = a[k][k]
-        s = p.sign()
+        s = field.sign(p)
         if s < 0:
             return Definiteness.OTHER
         if s == 0:
-            if any(a[k][j].sign() != 0 for j in range(k + 1, n)):
+            if any(any(a[k][j]) for j in range(k + 1, n)):
                 return Definiteness.OTHER
             saw_zero = True
             continue
         for i in range(k + 1, n):
             f = a[i][k]
-            if f.is_zero():
+            if not any(f):
                 continue
             for j in range(k + 1, n):
-                a[i][j] = p * a[i][j] - f * a[k][j]
+                a[i][j] = tuple(map(sub, mul(p, a[i][j]), mul(f, a[k][j])))
     return Definiteness.POS_SEMIDEF_SINGULAR if saw_zero else Definiteness.POS_DEF

@@ -348,17 +348,15 @@ def _root_table(diagram, field):
     n = diagram.rank
     mp = field._mp_low
     sign = field.sign
-    # the Gram matrix is symmetric, so its rows are its columns
-    gram_cols = [[e.nums for e in row] for row in gram]
-
-    zero, one = field.zero.nums, field.one.nums
+    zero, one = field.zero, field.one
     vectors = [tuple(one if i == s else zero for i in range(n)) for s in range(n)]
     ids = {vec: rid for rid, vec in enumerate(vectors)}
     raw_step = [[] for _ in range(n)]
     # vectors grows while it is walked: a breadth-first closure
     for beta in vectors:
         for s in range(n):
-            y = K.dot_mod(beta, gram_cols[s], mp)
+            # the Gram matrix is symmetric, so its rows are its columns
+            y = K.dot_mod(beta, gram[s], mp)
             if sign((y[0] - 2,) + y[1:]) >= 0 or sign((y[0] + 2,) + y[1:]) <= 0:
                 raw_step[s].append(-1)
                 continue

@@ -265,7 +265,8 @@ def classify(d):
     elif d.rank < 3:
         return DiagramClass.FINITE
     elif max(map(max, d.labels)) < 7:
-        defin = algebra.definiteness(algebra.gram(d))
+        field = algebra.field_for(d)
+        defin = algebra.definiteness(algebra.gram(d, field), field)
         if defin == algebra.Definiteness.POS_DEF:
             return DiagramClass.FINITE
         if defin == algebra.Definiteness.POS_SEMIDEF_SINGULAR:

@@ -1,11 +1,14 @@
 """Group elements of a Coxeter system via the exact geometric representation.
 
 An element is the pair of matrices (action on simple-root coordinates, and
-the same for the inverse), with exact field entries.  The representation is
-faithful, so matrix equality decides group equality and descent sets fall
-out of root signs.  The right generator step is the only generator action
-and the only way to form a product: u * v steps u's columns along v's
-ShortLex word, and `weak_leq(v, w)` steps w's inverse along v's word.
+the same for the inverse), each a tuple of columns whose entries are the
+integer coefficient tuples of elements of Z[c]: entries add
+coefficientwise, multiply through `FieldSpec.mul`, and take their signs
+from `FieldSpec.sign`.  The representation is faithful, so matrix equality
+decides group equality and descent sets fall out of root signs.  The right
+generator step is the only generator action and the only way to form a
+product: u * v steps u's columns along v's ShortLex word, and
+`weak_leq(v, w)` steps w's inverse along v's word.
 Every element knows its length when it is made, since l(ws) = l(w) + 1
 exactly when w(alpha_s) is positive.  An inverse is the right-step
 product of a word of w^-1: `element_of` reverses its word, and a right
@@ -23,6 +26,7 @@ into clean errors.
 """
 
 import math
+from operator import add, neg
 
 from . import algebra
 from .algebra import CapExceededError
@@ -58,21 +62,21 @@ class GroupMismatchError(ValueError):
     """Elements of different groups were combined."""
 
 
-def _root_vec_sign(vec):
+def _root_vec_sign(vec, field):
     """+1 for a positive root, -1 for a negative one; mixed signs raise."""
-    sign = vec[0].field.sign
-    pos = neg = False
+    sign = field.sign
+    positive = negative = False
     for e in vec:
-        s = sign(e.nums)
+        s = sign(e)
         if s > 0:
-            pos = True
+            positive = True
         elif s < 0:
-            neg = True
-    if pos and neg:
+            negative = True
+    if positive and negative:
         raise MixedSignRootError("root image has mixed coordinate signs")
-    if pos:
+    if positive:
         return 1
-    if neg:
+    if negative:
         return -1
     raise MixedSignRootError("root image is the zero vector")
 
@@ -110,8 +114,8 @@ class CoxeterGroup:
             for j in range(self.n):
                 if j == s:
                     continue
-                coeff = -gram[s][j]
-                if not coeff.is_zero():
+                coeff = tuple(map(neg, gram[s][j]))
+                if any(coeff):
                     row.append((j, None if coeff == one else coeff))
             self._nbr.append(tuple(row))
         self._id_cols = tuple(
@@ -126,21 +130,24 @@ class CoxeterGroup:
     def _rmul_gen(self, cols, s):
         """Columns of w -> columns of w*s."""
         cs = cols[s]
-        nz = [i for i in range(self.n) if not cs[i].is_zero()]
+        nz = [i for i in range(self.n) if any(cs[i])]
         new = list(cols)
         for j, coeff in self._nbr[s]:
             colj = list(cols[j])
             if coeff is None:
                 for i in nz:
-                    colj[i] = colj[i] + cs[i]
+                    colj[i] = tuple(map(add, colj[i], cs[i]))
             else:
+                # looked up per step, never bound at construction, so a
+                # wrapper patched onto FieldSpec sees every product
+                mul = self.field.mul
                 for i in nz:
-                    colj[i] = colj[i] + coeff * cs[i]
+                    colj[i] = tuple(map(add, colj[i], mul(coeff, cs[i])))
             new[j] = tuple(colj)
-        neg = list(cs)
+        col = list(cs)
         for i in nz:
-            neg[i] = -cs[i]
-        new[s] = tuple(neg)
+            col[i] = tuple(map(neg, cs[i]))
+        new[s] = tuple(col)
         return tuple(new)
 
     def _word_cols(self, word):
@@ -154,7 +161,7 @@ class CoxeterGroup:
         """Columns and length of w * word from those of w, one right step
         per letter; each step adds the sign of w(alpha_s) to the length."""
         for s in word:
-            length += _root_vec_sign(cols[s])
+            length += _root_vec_sign(cols[s], self.field)
             cols = self._rmul_gen(cols, s)
         return cols, length
 
@@ -167,7 +174,7 @@ class CoxeterGroup:
         word = []
         while True:
             for s in range(self.n):
-                if _root_vec_sign(icols[s]) < 0:
+                if _root_vec_sign(icols[s], self.field) < 0:
                     break
             else:
                 if icols != self._id_cols:
@@ -224,7 +231,7 @@ class CoxeterGroup:
         last = len(word) - 1
         for i, s in enumerate(word):
             root = cols[s]
-            if _root_vec_sign(root) < 0:
+            if _root_vec_sign(root, self.field) < 0:
                 return None
             roots.append(root)
             if i < last:
@@ -294,7 +301,7 @@ class CoxeterGroup:
             return v == w
         cols = w.icols
         for s in v.shortlex_nf():
-            if _root_vec_sign(cols[s]) > 0:
+            if _root_vec_sign(cols[s], self.field) > 0:
                 return False
             cols = self._rmul_gen(cols, s)
         return True
@@ -307,7 +314,8 @@ class CoxeterGroup:
         The levels are the ranks of the interval [e, w] in the right weak
         order.  Every element but the identity ends at least one reduced
         expression of itself, so more than cap + 1 elements exceed a cap of
-        cap expressions; the walk stops there instead of listing them all.
+        cap expressions; the walk stops at the element that passes cap + 1,
+        not at the end of its rank.
         """
         levels = []
         level = dict.fromkeys([w])
@@ -315,15 +323,19 @@ class CoxeterGroup:
         while level:
             below = {}
             for el in level:
-                level[el] = [(s, el.right_mul_gen(s)) for s in el.right_descents()]
-                below.update(dict.fromkeys(x for _, x in level[el]))
+                edges = level[el] = []
+                for s in el.right_descents():
+                    x = el.right_mul_gen(s)
+                    edges.append((s, x))
+                    if x not in below:
+                        if size > cap:
+                            raise CapExceededError(
+                                f"weak-order interval [e, w] exceeded cap of {cap + 1} elements",
+                                cap=cap,
+                            )
+                        below[x] = None
+                        size += 1
             levels.append(level)
-            size += len(below)
-            if size > cap + 1:
-                raise CapExceededError(
-                    f"weak-order interval [e, w] exceeded cap of {cap + 1} elements",
-                    cap=cap,
-                )
             level = below
         return reversed(levels)
 
@@ -464,7 +476,7 @@ class GroupElement:
             raise IndexError(f"generator index {s} out of range")
         el = GroupElement(self.group, self.group._rmul_gen(self.cols, s), None)
         if self._len is not None:
-            el._len = self._len + _root_vec_sign(self.cols[s])
+            el._len = self._len + _root_vec_sign(self.cols[s], self.group.field)
         return el
 
     def __mul__(self, other):
@@ -488,7 +500,8 @@ class GroupElement:
 
     def right_descents(self):
         """Generators s with w(alpha_s) negative, i.e. l(ws) < l(w)."""
-        return frozenset(s for s in range(self.group.n) if _root_vec_sign(self.cols[s]) < 0)
+        field = self.group.field
+        return frozenset(s for s in range(self.group.n) if _root_vec_sign(self.cols[s], field) < 0)
 
     def shortlex_nf(self):
         """Lexicographically smallest reduced word."""

@@ -3,7 +3,6 @@ right steps: the dense column-matrix product, and lengths from a fresh
 ShortLex walk on an element's columns alone."""
 
 from coxwalk import _kernel as K
-from coxwalk.algebra import AlgReal
 from coxwalk.element import GroupElement
 
 
@@ -12,11 +11,8 @@ def column_product(g, a, b):
     column j, with n^3 field products."""
     n = g.n
     mp = g.field._mp_low
-    rows = [[a[k][i].nums for k in range(n)] for i in range(n)]
-    return tuple(
-        tuple(AlgReal(g.field, K.dot_mod(rows[i], [e.nums for e in col], mp)) for i in range(n))
-        for col in b
-    )
+    rows = [[a[k][i] for k in range(n)] for i in range(n)]
+    return tuple(tuple(K.dot_mod(rows[i], col, mp) for i in range(n)) for col in b)
 
 
 def walked_length(g, cols):

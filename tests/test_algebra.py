@@ -1,8 +1,7 @@
-"""Exact arithmetic in Z[c]: minimal polynomials, operations, signs, the
-doubled form."""
+"""Exact arithmetic in Z[c]: minimal polynomials, operations on coefficient
+tuples, signs, the doubled form."""
 
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -61,12 +60,25 @@ def test_field_for_uses_label_lcm():
     assert f.L == 1 and f.degree == 1
 
 
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _neg(a):
+    return tuple(-x for x in a)
+
+
 def test_generator_satisfies_golden_identity():
     f = field_for_lcm(5)
     c = f.generator
-    assert (c * c - c - 1).is_zero()
-    assert (c - 1).sign() == 1
-    assert (c * c - c - 1).sign() == 0
+    golden = _sub(_sub(f.mul(c, c), c), f.one)
+    assert not any(golden)
+    assert f.sign(_sub(c, f.one)) == 1
+    assert f.sign(golden) == 0
 
 
 def _random_element(field, rng, span=60):
@@ -75,23 +87,26 @@ def _random_element(field, rng, span=60):
 
 @pytest.mark.parametrize("L", [5, 12, 30])
 def test_field_axioms_randomized(L):
-    """The ring axioms on integer elements."""
+    """The ring axioms on coefficient tuples: `mul` and coefficientwise sums."""
     field = field_for_lcm(L)
+    mul = field.mul
     rng = random.Random(1000 + L)
+    three = field.integer(3)
     for _ in range(60):
         a = _random_element(field, rng)
         b = _random_element(field, rng)
         c = _random_element(field, rng)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + field.zero == a
-        assert a * field.one == a
-        assert (a - a).is_zero()
-        assert a - b == a + (-b)
-        assert a * 3 == 3 * a == a + a + a
+        assert _add(a, b) == _add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert _add(_add(a, b), c) == _add(a, _add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, _add(b, c)) == _add(mul(a, b), mul(a, c))
+        assert _add(a, field.zero) == a
+        assert mul(a, field.one) == a
+        assert mul(a, field.zero) == field.zero
+        assert not any(_sub(a, a))
+        assert _sub(a, b) == _add(a, _neg(b))
+        assert mul(a, three) == mul(three, a) == _add(_add(a, a), a)
 
 
 def test_sign_matches_high_precision_floats():
@@ -102,40 +117,41 @@ def test_sign_matches_high_precision_floats():
     rng = random.Random(42)
     for _ in range(1000):
         a = _random_element(field, rng, span=999)
-        value = sum(n * c**i for i, n in enumerate(a.nums))
+        value = sum(n * c**i for i, n in enumerate(a))
         expected = 0 if value == 0 else (1 if value > 0 else -1)
-        assert a.sign() == expected
+        assert field.sign(a) == expected
 
 
-def _assert_canonical(x):
-    assert isinstance(x.nums, tuple) and len(x.nums) == x.field.degree
-    assert all(type(n) is int for n in x.nums)
+def _assert_canonical(x, degree):
+    assert type(x) is tuple and len(x) == degree
+    assert all(type(n) is int for n in x)
 
 
 @pytest.mark.parametrize("L,degree", [(1, 1), (5, 2), (20, 8)])
 def test_integer_add_sub_skip_normalize(L, degree):
-    """Sums and differences are elementwise on the coefficient tuples, with
-    no normalising pass."""
+    """Every element the field hands out, products included, is a tuple of
+    `degree` integers, and sums need no normalising pass."""
     field = field_for_lcm(L)
     assert field.degree == degree
+    for x in (field.zero, field.one, field.generator, field.integer(-7)):
+        _assert_canonical(x, degree)
+    assert field.zero == (0,) * degree
+    assert field.one == (1,) + (0,) * (degree - 1)
     rng = random.Random(7 * L)
     for _ in range(100):
         a = field.element([rng.randint(-50, 50) for _ in range(degree)])
         b = field.element([rng.randint(-50, 50) for _ in range(degree)])
         b = a if rng.random() < 0.2 else b
-        for op in (operator.add, operator.sub):
-            got = op(a, b)
-            _assert_canonical(got)
-            assert got.nums == tuple(op(x, y) for x, y in zip(a.nums, b.nums))
-        zero = a - a
-        assert zero == field.zero and zero.nums == (0,) * degree
-        assert (a + (field.zero - a)) == field.zero
+        _assert_canonical(a, degree)
+        _assert_canonical(field.mul(a, b), degree)
+        assert field.element(_add(a, b)) == _add(a, b)
+        assert _add(a, _sub(field.zero, a)) == field.zero
 
 
 @pytest.mark.parametrize("L", [1, 5, 12])
 def test_element_takes_integers_only(L):
     field = field_for_lcm(L)
-    assert field.element([3]) == field.integer(3) == 3
+    assert field.element([3]) == field.integer(3) == (3,) + (0,) * (field.degree - 1)
     assert field.element([]) == field.zero
     for bad in ([Fraction(1, 2)], [Fraction(2, 1)], [1.0], ["1"], [None]):
         with pytest.raises(ValueError, match="not all integers"):
@@ -150,32 +166,7 @@ def test_equality_iff_difference_sign_zero():
     for _ in range(100):
         a = _random_element(field, rng)
         b = _random_element(field, rng) if rng.random() < 0.5 else a
-        assert (a == b) == ((a - b).sign() == 0)
-
-
-def test_scalar_coercions_and_float():
-    f = field_for_lcm(12)
-    c = f.generator
-    assert 3 * c == c + c + c
-    assert 1 + c == c + 1
-    assert c * c - c * c == 0
-    # no Fraction operand, float conversion, division or ordering operator:
-    # elements live in Z[c] and sign() decides order
-    half = Fraction(1, 2)
-    for op in (
-        lambda x: x + half,
-        lambda x: half + x,
-        lambda x: x - half,
-        lambda x: half - x,
-        lambda x: x * half,
-        lambda x: half * x,
-        float,
-        lambda x: x / 2,
-        lambda x: x < 1,
-    ):
-        with pytest.raises(TypeError):
-            op(c)
-    assert c != half
+        assert (a == b) == (field.sign(_sub(a, b)) == 0)
 
 
 def test_form_values():
@@ -183,17 +174,17 @@ def test_form_values():
     d = parse_diagram("a b c d; a-b:3 b-c:4 c-d:5")
     f = algebra.field_for(d)
     assert f.L == 20
-    assert algebra.form_value(d, 0, 0, f) == 2
-    assert algebra.form_value(d, 0, 2, f).is_zero()  # m = 2
-    assert algebra.form_value(d, 0, 1, f) == -1  # m = 3
+    assert algebra.form_value(d, 0, 0, f) == f.integer(2)
+    assert algebra.form_value(d, 0, 2, f) == f.zero  # m = 2
+    assert algebra.form_value(d, 0, 1, f) == f.integer(-1)  # m = 3
     x4 = algebra.form_value(d, 1, 2, f)  # -2cos(pi/4) = -sqrt(2)
-    assert x4.sign() == -1
-    assert x4 * x4 == 2
+    assert f.sign(x4) == -1
+    assert f.mul(x4, x4) == f.integer(2)
     x5 = algebra.form_value(d, 2, 3, f)  # -2cos(pi/5) = -(1+sqrt(5))/2
-    assert (x5 * x5 + x5 - 1).is_zero()
+    assert not any(_sub(_add(f.mul(x5, x5), x5), f.one))
     # -x is the golden ratio 2cos(pi/5)
-    z = -x5
-    assert (z * z - z - 1).is_zero()
+    z = _neg(x5)
+    assert not any(_sub(_sub(f.mul(z, z), z), f.one))
 
 
 def test_form_value_label_must_divide_L():
@@ -215,37 +206,35 @@ def test_form_bounds():
     two, four = f.integer(2), f.integer(4)
     for j in range(1, 7):
         val = algebra.form_value(d, 0, j, f)
-        assert (two - val).sign() >= 0 and (val + two).sign() >= 0
-        gap = four - val * val
+        assert f.sign(_sub(two, val)) >= 0 and f.sign(_add(val, two)) >= 0
+        gap = _sub(four, f.mul(val, val))
         if d.label(0, j) == math.inf:
-            assert gap.sign() == 0
+            assert f.sign(gap) == 0
         else:
-            assert gap.sign() == 1
+            assert f.sign(gap) == 1
     # diagonal: 4 - f^2 vanishes
     diag = algebra.form_value(d, 0, 0, f)
-    assert (four - diag * diag).sign() == 0
+    assert f.sign(_sub(four, f.mul(diag, diag))) == 0
+
+
+def _definiteness(d):
+    field = algebra.field_for(d)
+    return algebra.definiteness(algebra.gram(d, field), field)
 
 
 def test_gram_definiteness_examples():
     a2 = parse_diagram("a b; a-b")
-    assert algebra.definiteness(algebra.gram(a2)) == Definiteness.POS_DEF
+    assert _definiteness(a2) == Definiteness.POS_DEF
     a2t = parse_diagram("a b c; a-b b-c a-c")
-    assert algebra.definiteness(algebra.gram(a2t)) == Definiteness.POS_SEMIDEF_SINGULAR
+    assert _definiteness(a2t) == Definiteness.POS_SEMIDEF_SINGULAR
     i2inf = parse_diagram("a b; a-b:inf")
     g = algebra.gram(i2inf)
     assert g[0][1] == algebra.field_for(i2inf).integer(-2)
-    assert algebra.definiteness(g) == Definiteness.POS_SEMIDEF_SINGULAR
+    assert _definiteness(i2inf) == Definiteness.POS_SEMIDEF_SINGULAR
     b3 = parse_diagram("a b c; a-b b-c:4")
-    assert algebra.definiteness(algebra.gram(b3)) == Definiteness.POS_DEF
+    assert _definiteness(b3) == Definiteness.POS_DEF
     hyp = parse_diagram("a b c; a-b b-c a-c:4")
-    assert algebra.definiteness(algebra.gram(hyp)) == Definiteness.OTHER
-
-
-def test_mixed_field_operations_rejected():
-    f5 = field_for_lcm(5)
-    f6 = field_for_lcm(6)
-    with pytest.raises(ValueError):
-        f5.one + f6.one
+    assert _definiteness(hyp) == Definiteness.OTHER
 
 
 def test_field_degree_cap():

@@ -153,7 +153,8 @@ def test_large_label_shortcut_agrees_with_gram(text, expected):
     # classify skips the Gram matrix at rank >= 3 with a label >= 7; the
     # Gram path must still find these neither finite nor affine
     d = parse_diagram(text)
-    assert algebra.definiteness(algebra.gram(d)) == algebra.Definiteness.OTHER
+    field = algebra.field_for(d)
+    assert algebra.definiteness(algebra.gram(d, field), field) == algebra.Definiteness.OTHER
     assert classify(d) == expected
 
 

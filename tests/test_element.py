@@ -440,6 +440,38 @@ def test_count_reduced_expressions_is_capped(monkeypatch):
         g.count_reduced_expressions(w)
 
 
+def test_interval_walk_raises_at_the_element_past_its_cap(monkeypatch):
+    """The walk down [e, w] raises as soon as a new element would pass
+    cap + 1, not at the end of that element's rank, and exactly when
+    |[e, w]| > cap + 1."""
+    # nine commuting generators: [e, abcdefghi] has 2^9 = 512 elements
+    g = group_for(parse_diagram("a b c d e f g h i"))
+    w = g.element_of(tuple(range(9)))
+    monkeypatch.setattr(element_mod, "DEFAULT_WORDS_CAP", 511)
+    assert g.count_reduced_expressions(w) == 362880
+    monkeypatch.setattr(element_mod, "DEFAULT_WORDS_CAP", 510)
+    with pytest.raises(CapExceededError, match=r"interval \[e, w\] exceeded cap of 511 elements"):
+        g.count_reduced_expressions(w)
+    # in A8 the ranks below w0 hold 8, 35 and 111 elements, so a walk that
+    # checks its cap once per rank makes 154 of them before it raises
+    g = group_for(parse_diagram("a b c d e f g h; a-b b-c c-d d-e e-f f-g g-h"))
+    w0 = g.element_of(tuple(s for top in range(8) for s in range(top, -1, -1)))
+    made = set()
+    right_mul_gen = GroupElement.right_mul_gen
+
+    def counted(el, s):
+        x = right_mul_gen(el, s)
+        made.add(x)
+        return x
+
+    monkeypatch.setattr(GroupElement, "right_mul_gen", counted)
+    monkeypatch.setattr(element_mod, "DEFAULT_WORDS_CAP", 100)
+    with pytest.raises(CapExceededError, match=r"interval \[e, w\] exceeded cap of 101 elements"):
+        g.count_reduced_expressions(w0)
+    # the 100 elements held below w0, and the one that passed the cap
+    assert len(made) == 101
+
+
 def test_normal_form_walk_is_capped(monkeypatch):
     # in the infinite dihedral group (ab)^3 has length 6
     g = group_for(I2INF)
