@@ -297,7 +297,9 @@ class ReducedWordAutomaton:
         lines.append(f'  __start -> "{self.start}";')
         for sid, state in enumerate(self.states):
             lines.append(f'  "{sid}" [label="{sid} [{state.bit_count()}]"];')
-        names, n = self.diagram.names, self.rank
+        # a DOT quoted string ends at the first unescaped quote
+        names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in self.diagram.names]
+        n = self.rank
         for i, to in enumerate(self.table):
             if to >= 0:
                 sid, s = divmod(i, n)

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 from array import array
@@ -292,6 +293,18 @@ def test_dot_export():
     dot = auto.to_dot()
     assert dot.count("label=") == 3 + 4 + 0  # 3 state labels + 4 edge labels
     assert '__start -> "0"' in dot
+
+
+def test_dot_export_escapes_generator_names():
+    """A generator name may hold a quote or a backslash; every label of the
+    export is still one DOT quoted string."""
+    auto = automaton.build(parse_diagram(r's"x a\b; s"x-a\b:4'))
+    dot = auto.to_dot()
+    labels = [line.split(" [label=", 1)[1] for line in dot.splitlines() if " [label=" in line]
+    assert len(labels) == auto.num_states + auto.num_edges == 8 + 8
+    assert all(re.fullmatch(r'"(?:[^"\\]|\\.)*"\];', label) for label in labels)
+    assert r'"0" -> "1" [label="s\"x"];' in dot
+    assert r'"0" -> "2" [label="a\\b"];' in dot
 
 
 def test_dot_export_rank0():

@@ -11,6 +11,9 @@ engine they check.
   an affine Weyl group has the Poincare series
   W(t) = W0(t) prod_i 1/(1 - t^m_i), over the exponents m_i of its finite
   Weyl group W0, whose own series is W0(t) = prod_i (1 + t + ... + t^m_i).
+- A finite Coxeter group has the Poincare series W(t) = prod_i [d_i]_t,
+  [d]_t = 1 + t + ... + t^(d-1), over its degrees d_i (Humphreys, ch. 3),
+  a polynomial of degree N = sum_i (d_i - 1) = l(w0).
 """
 
 import math
@@ -96,3 +99,30 @@ def test_ball_counts_follow_bott(name, exponents, radius):
     text = resources.files("coxwalk").joinpath("fixtures", f"{name}.cox").read_text()
     counts = group_for(parse_diagram(text)).ball(radius).counts
     assert counts == _bott_series(exponents, radius)
+
+
+def _degree_product(degrees):
+    """Coefficients of prod_i [d_i]_t, [d]_t = 1 + t + ... + t^(d-1)."""
+    series = [1]
+    for d in degrees:
+        padded = [0] * (d - 1) + series + [0] * (d - 1)
+        series = [sum(padded[k : k + d]) for k in range(len(series) + d - 1)]
+    return series
+
+
+@pytest.mark.parametrize(
+    "name, degrees",
+    [
+        ("a1", (2,)),
+        ("a2", (2, 3)),
+        ("a3", (2, 3, 4)),
+        ("a4", (2, 3, 4, 5)),
+        ("b3", (2, 4, 6)),
+        ("h3", (2, 6, 10)),
+    ],
+)
+def test_ball_counts_follow_the_degrees(name, degrees):
+    # the ball one past N = l(w0) holds the whole group and nothing longer
+    text = resources.files("coxwalk").joinpath("fixtures", f"{name}.cox").read_text()
+    N = sum(d - 1 for d in degrees)
+    assert group_for(parse_diagram(text)).ball(N + 1).counts == _degree_product(degrees)
