@@ -76,11 +76,20 @@ def test_interval_walk_counts_reduced_expressions_of_the_longest_element(n):
     assert g.count_reduced_expressions(w0) == _tableaux(_staircase(n))
 
 
+def _degree_product(degrees):
+    """Coefficients of prod_i [d_i]_t, [d]_t = 1 + t + ... + t^(d-1)."""
+    N = sum(d - 1 for d in degrees)
+    series = [1] + [0] * N
+    for d in degrees:
+        series = [sum(series[max(0, k - d + 1) : k + 1]) for k in range(N + 1)]
+    return series
+
+
 def _bott_series(exponents, radius):
-    """Coefficients 0..radius of W0(t) prod_i 1/(1 - t^m_i)."""
-    series = [1] + [0] * radius
+    """Coefficients 0..radius of W0(t) prod_i 1/(1 - t^m_i); the degrees of
+    W0 are its exponents plus one."""
+    series = (_degree_product([m + 1 for m in exponents]) + [0] * radius)[: radius + 1]
     for m in exponents:
-        series = [sum(series[max(0, k - m) : k + 1]) for k in range(radius + 1)]
         for k in range(m, radius + 1):
             series[k] += series[k - m]
     return series
@@ -99,15 +108,6 @@ def test_ball_counts_follow_bott(name, exponents, radius):
     text = resources.files("coxwalk").joinpath("fixtures", f"{name}.cox").read_text()
     counts = group_for(parse_diagram(text)).ball(radius).counts
     assert counts == _bott_series(exponents, radius)
-
-
-def _degree_product(degrees):
-    """Coefficients of prod_i [d_i]_t, [d]_t = 1 + t + ... + t^(d-1)."""
-    series = [1]
-    for d in degrees:
-        padded = [0] * (d - 1) + series + [0] * (d - 1)
-        series = [sum(padded[k : k + d]) for k in range(len(series) + d - 1)]
-    return series
 
 
 @pytest.mark.parametrize(
