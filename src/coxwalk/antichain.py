@@ -653,23 +653,10 @@ def not_locally_finite_antichain(d, count=20):
         raise ValueError("no neighbour outside the parabolic (diagram not irreducible?)")
     s, s_prime = pair
 
-    group = group_for(d)
+    # W_K is finite, as J is a smallest infinite irreducible subset, so W_J/W_K
+    # has a representative of every length: `count` of length <= count
     K = [x for x in J if x != s]
-    depth = count
-    cap = 4 * count + 8
-    while True:
-        reps = [el for el in group.min_coset_reps(J, K, depth) if el.length() > 0]
-        if len(reps) >= count or depth >= cap:
-            break
-        depth = min(2 * depth, cap)
-    if len(reps) < count:
-        raise CapExceededError(
-            f"only {len(reps)} coset representatives of depth <= {depth} found, "
-            f"need {count}",
-            found=len(reps),
-            depth=depth,
-        )
-    reps = reps[:count]
+    reps = list(itertools.islice(group_for(d).min_coset_reps(J, K, count), 1, count + 1))
 
     for el in reps:
         if el.right_descents() != {s}:

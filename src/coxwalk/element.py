@@ -19,10 +19,10 @@ columns.  Lengths and right descents need the columns only, and
 `inversion_set` reads the left inversion roots of a word from the
 columns of its prefixes alone: it decides whether the word is reduced,
 and set inclusion of inversion sets decides the right weak order for
-checks that compare many pairs.  Balls, reduced-expression enumeration,
-braid closures and minimal coset representatives are all built on top of
-that engine, with size caps that turn non-termination on infinite groups
-into clean errors.
+checks that compare many pairs.  Balls, reduced-expression enumeration
+and braid closures are built on that engine, and minimal coset
+representatives come from a right-step walk that builds no ball; size
+caps turn non-termination on infinite groups into clean errors.
 """
 
 import math
@@ -401,30 +401,43 @@ class CoxeterGroup:
         return frozenset(seen)
 
     def min_coset_reps(self, J, K, radius, cap=DEFAULT_BALL_CAP):
-        """Elements of the parabolic W_J with no right descent in K, length <= radius.
-
-        These are the minimal coset representatives of W_J modulo W_K,
-        truncated at the given length.
-        """
+        """The elements of W_J with no right descent in K and length <= radius
+        (minimal coset representatives of W_J mod W_K), by length, then
+        ShortLex.  Their inverses x, with no left descent in K, are closed under
+        prefixes; for t in J with x(alpha_t) > 0, xt has a left descent in K
+        iff x(alpha_t) = alpha_s for an s in K (Deodhar's lemma; Bjorner-Brenti,
+        GTM 231, ch. 2).  So a right-step walk from e makes them at a sign and a
+        column comparison per step.  A generator, it checks its arguments at the
+        first `next`; past `cap` walk elements it raises CapExceededError."""
         J = sorted(set(J))
-        K = sorted(set(K))
         if not set(K) <= set(J):
             raise ValueError("K must be a subset of J")
         if J and not (0 <= J[0] and J[-1] < self.n):
             raise ValueError("J contains out-of-range indices")
-        sub = diagram_mod.subdiagram(self.diagram, J)
-        subgroup = group_for(sub)
-        kpos = {J.index(k) for k in K}
-        out = []
-        for el in subgroup.ball(radius, cap).elements:
-            if el.right_descents() & kpos:
-                continue
-            word = tuple(J[t] for t in el.shortlex_nf())
-            lifted = self.element_of(word)
-            lifted._nf = word
-            out.append(lifted)
-        out.sort(key=lambda e: (e.length(), e.shortlex_nf()))
-        return out
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        k_roots = {self._id_cols[k] for k in K}
+        level, made, k = [self._id_cols], 1, 0
+        while level:
+            for word, icols in sorted((self._walk(icols), icols) for icols in level):
+                el = GroupElement(self, self._word_cols(word), icols)
+                el._len = k
+                el._nf = word
+                yield el
+            above = {}
+            for cols in level if k < radius else ():
+                for t in J:
+                    if cols[t] in k_roots or _root_vec_sign(cols[t], self.field) < 0:
+                        continue
+                    new = self._rmul_gen(cols, t)
+                    if new not in above:
+                        if made >= cap:
+                            raise CapExceededError(
+                                f"coset walk exceeded cap of {cap} elements", cap=cap, radius=k + 1
+                            )
+                        above[new] = None
+                        made += 1
+            level, k = above, k + 1
 
     def __repr__(self):
         return f"CoxeterGroup({self.diagram!r})"

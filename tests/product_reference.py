@@ -1,9 +1,11 @@
-"""A reference product for the tests, independent of the group engine's
-right steps: the dense column-matrix product, and lengths from a fresh
-ShortLex walk on an element's columns alone."""
+"""References for the tests, independent of the group engine's right
+steps and walks: the dense column-matrix product, lengths from a fresh
+ShortLex walk on an element's columns alone, and minimal coset
+representatives filtered from a subgroup's ball."""
 
 from coxwalk import _kernel as K
-from coxwalk.element import GroupElement
+from coxwalk.diagram import subdiagram
+from coxwalk.element import GroupElement, group_for
 
 
 def column_product(g, a, b):
@@ -25,3 +27,16 @@ def product_length(u, v):
     """l(u * v) from the column product and a fresh walk."""
     g = u.group
     return walked_length(g, column_product(g, u.cols, v.cols))
+
+
+def coset_reps_by_ball(g, J, K, radius):
+    """ShortLex words, sorted by (length, ShortLex), of the elements of W_J
+    with no right descent in K and length <= radius, by the definition: a
+    filter over the whole ball of the parabolic subgroup's own group."""
+    sub = group_for(subdiagram(g.diagram, J))
+    words = [
+        tuple(J[t] for t in el.shortlex_nf())
+        for el in sub.ball(radius)
+        if not {J[t] for t in el.right_descents()} & set(K)
+    ]
+    return sorted(words, key=lambda word: (len(word), word))

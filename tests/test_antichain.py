@@ -1,8 +1,11 @@
 """Good pairs, case dispatch, the rank-5 certificate, coset antichains."""
 
+import time
+import tracemalloc
+
 import pytest
 
-from coxwalk import antichain
+from coxwalk import algebra, antichain, automaton
 from coxwalk.diagram import DiagramClass, parse_diagram
 from coxwalk.element import (
     CapExceededError,
@@ -237,6 +240,24 @@ def test_case_vi_facts_lengths_match_products(vctx, case_vi_automaton, label):
     assert facts["verdicts"]["lengths_2_plus_9k"] == (label == 5)
 
 
+def test_case_vi_fact1_from_inversion_sets(vctx, case_vi_automaton):
+    """Fact 1 without the automaton's run: the elementary roots Sigma of
+    phase 1 meet N((w alpha^6)^-1) and N((w alpha^7)^-1), read by the group
+    engine from the reversed words, in the same 20 roots, which are the
+    roots of the state that both runs reach."""
+    d = vctx.fixture("case_vi")
+    s, t, u, v, w = range(5)
+    alpha = (s, t, u, v, w, s, t, u, v)
+    sigma = set(automaton._root_table(d, algebra.field_for(d))[0])
+    g = group_for(d)
+    meets = [sigma & g.inversion_set(((w,) + alpha * k)[::-1]) for k in (6, 7)]
+    assert meets[0] == meets[1]
+    assert len(meets[0]) == 20
+    auto = case_vi_automaton
+    bits = auto.states[26472]
+    assert meets[0] == {r for i, r in enumerate(auto.root_vectors) if bits >> i & 1}
+
+
 def test_case_vi_facts_on_permuted_generator_names():
     """The path d-b-e-a-c with the 5 on d-b: the facts read the path from
     its 5 end, although c, the end with the smaller index, comes first."""
@@ -286,6 +307,44 @@ def test_coset_antichain_embedded_triangle():
 def test_coset_antichain_rejects_locally_finite():
     with pytest.raises(ValueError):
         antichain.not_locally_finite_antichain(T334, count=3)
+
+
+@pytest.mark.parametrize(
+    "text, J, s, s_prime",
+    [
+        # E10 = T(2,3,7): J spans its affine E8
+        (
+            "b a1 c1 c2 d1 d2 d3 d4 d5 d6; "
+            "b-a1 b-c1 c1-c2 b-d1 d1-d2 d2-d3 d3-d4 d4-d5 d5-d6",
+            ["b", "a1", "c1", "c2", "d1", "d2", "d3", "d4", "d5"],
+            "d5",
+            "d6",
+        ),
+        ("a b c d; a-b:7 b-c:7 a-c:7 c-d", ["a", "b", "c"], "c", "d"),
+        ("a b c d; a-b:4 b-c:4 a-c:4 c-d", ["a", "b", "c"], "c", "d"),
+        ("a b c d e f; a-b b-c c-d d-e a-e a-f", ["a", "b", "c", "d", "e"], "a", "f"),
+    ],
+    ids=["e10", "triangle777_pendant", "triangle444_pendant", "cycle5_pendant"],
+)
+def test_coset_construction_on_fast_growing_parabolics(text, J, s, s_prime):
+    """W_J grows far faster than W_J/W_K here.  Filtering a ball of W_J
+    took about 2 s on the 5-cycle, and on the others passed its cap of 10^6
+    elements or ran for over a minute; the walk of min_coset_reps makes the
+    representatives only."""
+    d = parse_diagram(text)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        cert = antichain.certify_antichain(d)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.method == "CosetConstruction"
+    assert len(cert.family) == 20
+    assert (cert.facts["J"], cert.facts["s"], cert.facts["s_prime"]) == (J, s, s_prime)
+    assert elapsed < 3
+    assert peak < 16 * 2**20
 
 
 def test_transfer_identity():

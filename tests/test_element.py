@@ -337,14 +337,14 @@ def test_ball_lengths_consistent():
 
 def test_min_coset_reps():
     g = group_for(ATILDE2)
-    reps = g.min_coset_reps([0, 1], [0, 1], 5)
+    reps = list(g.min_coset_reps([0, 1], [0, 1], 5))
     assert len(reps) == 1 and reps[0] == g.identity
-    whole = g.min_coset_reps([0, 1], [], 4)
+    whole = list(g.min_coset_reps([0, 1], [], 4))
     assert len(whole) == len(group_for(parse_diagram("a b; a-b")).ball(4))
 
     u3 = parse_diagram("a b c; a-b:inf b-c:inf a-c:inf")
     gu = group_for(u3)
-    reps = gu.min_coset_reps([0, 1], [1], 5)
+    reps = list(gu.min_coset_reps([0, 1], [1], 5))
     words = [el.shortlex_nf() for el in reps]
     assert words == [
         (),
@@ -357,6 +357,31 @@ def test_min_coset_reps():
     for el in reps:
         if el != gu.identity:
             assert el.right_descents() == {0}
+
+    # a finite quotient, A3 mod A2, ends the walk whatever the radius
+    reps = group_for(A3).min_coset_reps([0, 1, 2], [0, 1], 10**9)
+    assert [el.shortlex_nf() for el in reps] == [(), (2,), (1, 2), (0, 1, 2)]
+
+
+def test_min_coset_reps_refuses_bad_arguments():
+    g = group_for(ATILDE2)
+    with pytest.raises(ValueError, match="K must be a subset of J"):
+        list(g.min_coset_reps([0, 1], [2], 3))
+    for J in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="out-of-range"):
+            list(g.min_coset_reps(J, [], 3))
+    with pytest.raises(ValueError, match="radius"):
+        list(g.min_coset_reps([0, 1], [0], -1))
+
+
+def test_min_coset_reps_cap_counts_walk_elements():
+    """With K empty the walk makes the whole ball of W_J, 31 elements of
+    affine A2 up to length 4; a cap of 30 stops it at length 4."""
+    g = group_for(ATILDE2)
+    assert len(list(g.min_coset_reps([0, 1, 2], [], 4, cap=31))) == 31
+    with pytest.raises(CapExceededError, match="coset walk exceeded cap of 30 elements") as exc:
+        list(g.min_coset_reps([0, 1, 2], [], 4, cap=30))
+    assert exc.value.info == {"cap": 30, "radius": 4}
 
 
 def test_parse_and_format_words():

@@ -21,7 +21,7 @@ from coxwalk.algebra import CapExceededError, Definiteness
 from coxwalk.diagram import INF, CoxeterDiagram, parse_diagram
 from coxwalk.element import GroupElement, group_for
 from coxwalk.verification import FIGURE1
-from product_reference import column_product, product_length, walked_length
+from product_reference import column_product, coset_reps_by_ball, product_length, walked_length
 
 LABELS = (2, 3, 4, 5, 6, INF)
 MAX_WORD = 10
@@ -434,6 +434,35 @@ def test_ball_shortlex_words_match_the_walk(name):
     g = group_for(d)
     for el in g.ball(6 if d.rank <= 3 else 4).elements:
         assert GroupElement(g, el.cols, None).shortlex_nf() == el.shortlex_nf()
+
+
+@st.composite
+def diagram_and_parabolics(draw):
+    """A diagram of rank <= 5, generator subsets J containing K, and a
+    radius <= 5."""
+    d = draw(diagrams(max_rank=5))
+    J = sorted(draw(st.sets(st.integers(0, d.rank - 1))))
+    K = [j for j in J if draw(st.booleans())]
+    return d, J, K, draw(st.integers(0, 5))
+
+
+# a third of the usual examples: each builds a subgroup ball of up to 1 706
+# elements
+@settings(SETTINGS, max_examples=40)
+@given(diagram_and_parabolics())
+def test_coset_walk_matches_ball_filter(case):
+    """The right-step walk of min_coset_reps yields, element for element
+    and in (length, ShortLex) order, what filtering the subgroup's own
+    ball by right descents gives, with both matrices and the length."""
+    d, J, K, radius = case
+    g = group_for(d)
+    reps = list(g.min_coset_reps(J, K, radius))
+    words = coset_reps_by_ball(g, J, K, radius)
+    assert [el.shortlex_nf() for el in reps] == words
+    assert [el.length() for el in reps] == [len(word) for word in words]
+    ref = [g.element_of(word) for word in words]
+    assert reps == ref
+    assert [el.icols for el in reps] == [el.icols for el in ref]
 
 
 @SETTINGS
